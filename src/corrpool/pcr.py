@@ -16,9 +16,17 @@ Three variants of the per-test sensitivity function p(v):
 All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target.
+
+The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
+the delta' sampler and pooled-test draws. Most loads sit so far above the
+threshold that the tail is exactly 1.0 in double precision; a Chernoff bound
+gives, per (p, tau), a count beyond which that is certain, and those elements
+skip the incomplete-beta evaluation without changing a bit of the result.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc
@@ -60,14 +68,69 @@ class PcrParams:
         return base / np.asarray(pool_size, dtype=float)
 
 
+# A lower tail P(Binomial(K, p) < tau) of at most 2**-60 is 1/128 of the gap
+# between 1.0 and the next double below it, so the tail rounds to exactly 1.0
+# with room left for rounding in the bound and in betainc.
+_CERTAIN_LOG_TAIL = 60.0 * math.log(2.0)
+
+
+@lru_cache(maxsize=4096)
+def _certain_count(p: float, tau: int) -> float:
+    """Smallest count K_c with P(Binomial(K, p) >= tau) == 1.0 exactly for all K >= K_c.
+
+    The Chernoff bound P(Binomial(K, p) <= a) <= exp(-K * D(a/K || p)), with
+    a = tau - 1 and D the Bernoulli relative entropy, holds for K > a/p, where
+    its exponent K * D(a/K || p) increases with K; the cutoff is the first
+    integer K at which the exponent reaches 60 ln 2. Returns inf (no shortcut)
+    when p is not in (0, 1).
+    """
+    if not 0.0 < p < 1.0:
+        return math.inf
+    a = float(tau - 1)
+    log_q = math.log1p(-p)
+
+    def exponent(K):
+        upper = (K - a) * (math.log1p(-a / K) - log_q)
+        return upper if a == 0.0 else upper + a * (math.log(a / K) - math.log(p))
+
+    lo = max(float(tau), math.floor(a / p) + 1.0)  # exponent(lo) may fall short
+    if exponent(lo) >= _CERTAIN_LOG_TAIL:
+        return lo
+    hi = 2.0 * lo
+    while exponent(hi) < _CERTAIN_LOG_TAIL:
+        lo, hi = hi, 2.0 * hi
+    # invariant: exponent(lo) < _CERTAIN_LOG_TAIL <= exponent(hi)
+    while hi - lo > 1.0:
+        mid = math.floor((lo + hi) / 2.0)
+        if exponent(mid) >= _CERTAIN_LOG_TAIL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def binomial_tail(counts, p, tau):
-    """P(Binomial(K, p) >= tau), vectorized over K and p; 0 where K < tau."""
+    """P(Binomial(K, p) >= tau), vectorized over K and p; 0 where K < tau.
+
+    Counts at or above the Chernoff cutoff of their (p, tau) get 1.0 without
+    calling betainc: their lower tail is below 2**-60, so betainc, which then
+    evaluates the small complement and subtracts it from 1, returns exactly
+    1.0 there too. The result is therefore bit-identical to evaluating every
+    K >= tau through betainc. An array p is screened per distinct value.
+    """
     K = np.asarray(counts, dtype=float)
-    p = np.broadcast_to(np.asarray(p, dtype=float), K.shape)
-    out = np.zeros_like(K)
-    m = K >= tau
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        cutoff = _certain_count(float(p), int(tau))
+    else:
+        values, inverse = np.unique(p.ravel(), return_inverse=True)
+        cutoffs = np.array([_certain_count(float(v), int(tau)) for v in values])
+        cutoff = np.broadcast_to(cutoffs[inverse].reshape(p.shape), K.shape)
+        p = np.broadcast_to(p, K.shape)
+    out = np.asarray(K >= cutoff, dtype=float)
+    m = (K >= tau) & (K < cutoff)
     # regularized incomplete beta: P(Binom(K,p) >= tau) = I_p(tau, K - tau + 1)
-    out[m] = betainc(float(tau), K[m] - tau + 1.0, p[m])
+    out[m] = betainc(float(tau), K[m] - tau + 1.0, p[m] if p.ndim else p)
     return out
 
 
@@ -180,11 +243,6 @@ class PiecewiseSensitivity:
             default=1.0,
         )
         return float(out) if out.ndim == 0 else out
-
-
-def evaluate_sensitivity(fn, v):
-    """Evaluate a step or piecewise sensitivity function at load v >= 0."""
-    return fn(v)
 
 
 def calibrate_tau(

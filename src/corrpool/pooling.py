@@ -30,11 +30,6 @@ class PoolingAssignment:
     num_pools: int
     split_households: int = 0
 
-    def pools(self) -> list[np.ndarray]:
-        order = np.argsort(self.pool_of, kind="stable")
-        bounds = np.searchsorted(self.pool_of[order], np.arange(1, self.num_pools))
-        return np.split(order, bounds)
-
     def pool_sizes(self) -> np.ndarray:
         return np.bincount(self.pool_of, minlength=self.num_pools)
 

@@ -208,10 +208,12 @@ def _worker_chunk(config: ScenarioConfig, tau: int, reps: list[int]):
 
 
 def worker_count() -> int:
+    """Worker processes from CORRPOOL_WORKERS: default 1, values below 1 mean 1."""
+    value = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        return max(1, int(value))
     except ValueError:
-        return 1
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
 
 
 def run_replications(config: ScenarioConfig, tau: int | None = None) -> dict[str, StrategyTallies]:
@@ -270,9 +272,14 @@ class ScenarioResult:
         return out
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Run a scenario and summarize per-strategy metrics."""
-    tau = config.resolve_tau()
+def run_scenario(config: ScenarioConfig, tau: int | None = None) -> ScenarioResult:
+    """Run a scenario and summarize per-strategy metrics.
+
+    tau, when given, is used in place of config.resolve_tau(), as in
+    run_replications; cells that share (seed, beta_bar, gmm) share one tau.
+    """
+    if tau is None:
+        tau = config.resolve_tau()
     tallies = run_replications(config, tau)
     summaries = {s: t.summarize(config.population_size) for s, t in tallies.items()}
     fpr = {}
@@ -287,16 +294,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
 
 def run_sweep(config: ScenarioConfig, alphas, pool_sizes) -> list[dict]:
-    """Run a grid of (alpha, pool size) scenarios; one row per strategy and cell."""
+    """Run a grid of (alpha, pool size) scenarios; one row per strategy and cell.
+
+    tau depends on neither alpha nor the pool size, so it is resolved once.
+    """
     alphas = list(alphas)
     pool_sizes = list(pool_sizes)
     if not alphas or not pool_sizes:
         raise ConfigError("sweep grid must be non-empty")
+    tau = config.resolve_tau()
     rows = []
     for alpha in alphas:
         for n in pool_sizes:
             cell = replace(config, alpha=alpha, pool_size=n)
-            result = run_scenario(cell)
+            result = run_scenario(cell, tau)
             for strategy, s in result.summaries.items():
                 rows.append(
                     {

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betainc
 
 from corrpool.pcr import (
     PcrParams,
+    _certain_count,
+    binomial_tail,
     draw_positive,
     PiecewiseSensitivity,
     RealisticSensitivity,
@@ -102,6 +105,54 @@ def test_calibrate_tau_hits_target():
     rng = np.random.default_rng(11)
     tau = calibrate_tau(0.05, DEFAULT_GMM, PcrParams(), rng)
     assert abs(tau - 174) <= 0.03 * 174
+
+
+def _betainc_tail(counts, p, tau):
+    """Reference tail: every K >= tau through betainc, nothing screened."""
+    K = np.asarray(counts, dtype=float)
+    p = np.broadcast_to(np.asarray(p, dtype=float), K.shape)
+    out = np.zeros_like(K)
+    m = K >= tau
+    out[m] = betainc(float(tau), K[m] - tau + 1.0, p[m])
+    return out
+
+
+@pytest.fixture(scope="module")
+def gmm_counts():
+    rng = np.random.default_rng(2024)
+    return np.rint(sample_viral_load(DEFAULT_GMM, rng, size=10**6))
+
+
+@pytest.mark.parametrize("tau", [1, 2, 174, 1240, 10**5])
+@pytest.mark.parametrize("n", [1, 2, 6, 40])
+def test_binomial_tail_bit_identical_to_betainc(gmm_counts, n, tau):
+    p = float(PcrParams().capture_probability(n))
+    cutoff = _certain_count(p, tau)
+    # 10^6 GMM-drawn counts plus every count within 2000 of the cutoff
+    counts = np.concatenate([gmm_counts, np.arange(max(tau, cutoff - 2000), cutoff + 2000)])
+    got = binomial_tail(counts, p, tau)
+    assert np.array_equal(got, _betainc_tail(counts, p, tau))
+    assert np.all(got[counts >= cutoff] == 1.0)
+
+
+def test_binomial_tail_bit_identical_for_per_pool_p(gmm_counts):
+    # shaped like draw_positive's input: per-pool totals with the pool's own
+    # dilution, most pools full and a ragged remainder
+    rng = np.random.default_rng(5)
+    sizes = np.where(rng.random(20000) < 0.9, 6, rng.integers(1, 6, 20000))
+    totals = np.add.reduceat(gmm_counts[: sizes.sum()], np.cumsum(sizes) - sizes)
+    p = PcrParams().capture_probability(sizes)
+    got = binomial_tail(totals, p, 174)
+    assert np.array_equal(got, _betainc_tail(totals, p, 174))
+
+
+@pytest.mark.parametrize(
+    "seed, beta_bar, expected_tau", [(0, 0.025, 108), (1, 0.2, 1241), (2, 0.1, 341), (3, 0.05, 175)]
+)
+def test_calibrate_tau_matches_unscreened_kernel(seed, beta_bar, expected_tau):
+    # expected values were calibrated with every tail evaluated through betainc
+    rng = np.random.default_rng(seed)
+    assert calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), rng) == expected_tau
 
 
 def test_calibrate_tau_rejects_bad_target():

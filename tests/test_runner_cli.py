@@ -2,18 +2,22 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import corrpool.runner
 from corrpool.cli import main
 from corrpool.errors import ConfigError
 from corrpool.runner import (
+    WORKERS_ENV,
     ScenarioConfig,
     format_number,
     replication_rows,
     run_scenario,
     run_sweep,
+    worker_count,
     write_csv,
 )
 
@@ -111,6 +115,33 @@ def test_sweep_rows_shape():
     assert {r["strategy"] for r in rows} == {"naive", "correlated"}
 
 
+def test_sweep_calibrates_tau_once_and_matches_standalone_cells(monkeypatch):
+    calls = []
+    calibrate = corrpool.runner.calibrate_tau
+
+    def counting_calibrate(*args, **kwargs):
+        calls.append(args)
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(corrpool.runner, "calibrate_tau", counting_calibrate)
+    config = ScenarioConfig(**{**SMALL, "tau": None, "beta_bar": 0.05, "replications": 4})
+    rows = run_sweep(config, [0.02, 0.05], [3, 6])
+    assert len(calls) == 1
+    assert len(rows) == 2 * 2 * 2
+    for alpha in (0.02, 0.05):
+        for n in (3, 6):
+            cell = run_scenario(replace(config, alpha=alpha, pool_size=n))
+            for strategy, s in cell.summaries.items():
+                (row,) = [
+                    r for r in rows
+                    if (r["alpha"], r["pool_size"], r["strategy"]) == (alpha, n, strategy)
+                ]
+                assert row["sensitivity"] == s.sensitivity
+                assert row["sensitivity_se"] == s.sensitivity_se
+                assert row["efficiency"] == s.efficiency
+                assert row["efficiency_se"] == s.efficiency_se
+
+
 def test_format_number_twelve_significant_digits():
     assert format_number(1.0 / 3.0) == "0.333333333333"
     assert format_number(123456789) == "123456789"
@@ -170,6 +201,23 @@ def test_cli_exit_code_config_error(tmp_path):
     cfg_path.write_text(json.dumps({"alpha": 0.05, "bogus_key": 1}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert main(["simulate", "--alpha", "2.0", "--replications", "1"]) == 2
+
+
+def test_worker_count_parses_env(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    assert worker_count() == 1
+    for value, expected in (("3", 3), ("0", 1), ("-2", 1)):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        assert worker_count() == expected
+
+
+def test_cli_malformed_workers_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv(WORKERS_ENV, "abc")
+    rc = main(["simulate", "--tau", "174", "--population-size", "60", "--replications", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert WORKERS_ENV in err and "'abc'" in err
 
 
 def test_cli_exit_code_infeasible():
