@@ -177,19 +177,6 @@ def draw_positive(total_load, pool_size, params: PcrParams, rng: np.random.Gener
     return out
 
 
-def run_pooled_pcr(viral_loads, pool_size, params: PcrParams, rng: np.random.Generator) -> bool:
-    """Run one pooled PCR test on the given member viral loads (copies/mL)."""
-    loads = np.asarray(viral_loads, dtype=float)
-    if pool_size < 1:
-        raise ValueError("pool_size must be at least 1")
-    if np.any(loads < 0):
-        raise ValueError("viral loads must be non-negative")
-    total = loads.sum()
-    if total == 0.0:
-        return False
-    return bool(draw_positive(total, pool_size, params, rng)[0])
-
-
 @dataclass(frozen=True)
 class RealisticSensitivity:
     """Realistic binomial-subsampling sensitivity; dilution emerges from the

@@ -7,9 +7,12 @@ places each household whole into the first pool with enough free capacity;
 when no pool can hold it whole (including because the household is larger than
 n), the household is split greedily across the earliest pools with free slots.
 Capping the pool count keeps efficiency comparisons like-for-like with naive
-assignment.
+assignment. The correlated pass is O(n*P + H) for P pools and H households and
+runs on plain Python ints; pool_of is then built by one np.repeat over
+households plus one scatter for the members of split households.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,46 +59,66 @@ def assign_naive(N: int, n: int, rng: np.random.Generator) -> PoolingAssignment:
 
 
 def assign_correlated(population: Population, n: int, rng: np.random.Generator) -> PoolingAssignment:
-    """Whole-household first-fit with greedy splitting fallback."""
+    """Whole-household first-fit with greedy splitting fallback.
+
+    Households are visited in rng.permutation order. The pass runs on Python
+    ints, because indexing numpy scalars costs more than the algorithm itself,
+    and it records one pool per visited household and (pool, count) chunks for
+    split ones. numpy then turns those into pool_of: one scatter to
+    household order, one np.repeat to members, and one scatter for the members
+    of split households.
+    """
     if n < 1:
         raise ValueError("pool size must be at least 1")
     sizes = population.household_sizes
-    starts = population.household_starts()
     N = int(sizes.sum())
     P = -(-N // n)
     order = rng.permutation(sizes.size)
 
-    free = np.full(P, n, dtype=np.int64)
+    free = [n] * P
     # first_fit[s]: first pool that might still hold s more members. free only
     # ever decreases, so each pointer moves monotonically right and the whole
     # pass is O(n*P + H).
     first_fit = [0] * (n + 1)
-    pool_of = np.empty(N, dtype=np.int64)
-    splits = 0
+    # int64 arrays rather than lists, which would also hold an int object per
+    # entry and raise peak memory
+    visit_pool = array("q")  # pool of each visited household; 0 for split ones
+    split_visits = array("q")
+    chunk_pool = array("q")  # split households' members go to these pools, chunk_count at a time
+    chunk_count = array("q")
 
-    for h in order:
-        s = int(sizes[h])
-        members = np.arange(starts[h], starts[h] + s)
-        j = P
+    for s in sizes[order].tolist():
         if s <= n:
             j = first_fit[s]
             while j < P and free[j] < s:
                 j += 1
             first_fit[s] = j
-        if j < P:
-            pool_of[members] = j
-            free[j] -= s
-        else:
-            # no pool fits the household whole: spill into the earliest free slots
-            splits += 1
-            k = first_fit[1]
-            placed = 0
-            while placed < s:
-                while free[k] == 0:
-                    k += 1
-                take = min(int(free[k]), s - placed)
-                pool_of[members[placed : placed + take]] = k
-                free[k] -= take
-                placed += take
-            first_fit[1] = k
-    return PoolingAssignment(pool_of, n, P, split_households=splits)
+            if j < P:
+                visit_pool.append(j)
+                free[j] -= s
+                continue
+        # no pool fits the household whole: spill into the earliest free slots
+        split_visits.append(len(visit_pool))
+        visit_pool.append(0)
+        k = first_fit[1]
+        while s:
+            while free[k] == 0:
+                k += 1
+            take = min(free[k], s)
+            chunk_pool.append(k)
+            chunk_count.append(take)
+            free[k] -= take
+            s -= take
+        first_fit[1] = k
+
+    hh_pool = np.empty(sizes.size, dtype=np.int64)
+    hh_pool[order] = visit_pool
+    pool_of = np.repeat(hh_pool, sizes)
+    if split_visits:
+        # members of the split households, household by household in visit order
+        split = order[split_visits]
+        split_sizes = sizes[split]
+        before = np.cumsum(split_sizes) - split_sizes
+        shift = np.repeat(population.household_starts()[split] - before, split_sizes)
+        pool_of[shift + np.arange(shift.size)] = np.repeat(chunk_pool, chunk_count)
+    return PoolingAssignment(pool_of, n, P, split_households=len(split_visits))

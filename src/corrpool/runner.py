@@ -222,10 +222,10 @@ def run_replications(config: ScenarioConfig, tau: int | None = None) -> dict[str
     Results are assembled in replication order, so output is identical for any
     worker count.
     """
+    workers = worker_count()
     if tau is None:
         tau = config.resolve_tau()
     reps = list(range(config.replications))
-    workers = worker_count()
     rows: list[tuple[int, dict]] = []
     if workers == 1 or len(reps) < 2 * workers:
         rows = _worker_chunk(config, tau, reps)
@@ -278,6 +278,7 @@ def run_scenario(config: ScenarioConfig, tau: int | None = None) -> ScenarioResu
     tau, when given, is used in place of config.resolve_tau(), as in
     run_replications; cells that share (seed, beta_bar, gmm) share one tau.
     """
+    worker_count()  # a malformed CORRPOOL_WORKERS fails before tau calibration
     if tau is None:
         tau = config.resolve_tau()
     tallies = run_replications(config, tau)
@@ -302,6 +303,7 @@ def run_sweep(config: ScenarioConfig, alphas, pool_sizes) -> list[dict]:
     pool_sizes = list(pool_sizes)
     if not alphas or not pool_sizes:
         raise ConfigError("sweep grid must be non-empty")
+    worker_count()  # a malformed CORRPOOL_WORKERS fails before tau calibration
     tau = config.resolve_tau()
     rows = []
     for alpha in alphas:

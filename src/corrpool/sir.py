@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .runner import ScenarioConfig, run_replications
+from .runner import ScenarioConfig, run_replications, worker_count
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,7 @@ def optimize_pool_size(
     if config.replications < 500:
         raise ValueError("pool-size optimization needs at least 500 replications")
 
+    worker_count()  # a malformed CORRPOOL_WORKERS fails before tau calibration
     tau = config.resolve_tau()
     best: dict[str, PolicyResult] = {}
     for n in candidate_sizes:

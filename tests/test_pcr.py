@@ -14,7 +14,6 @@ from corrpool.pcr import (
     RealisticSensitivity,
     StepSensitivity,
     calibrate_tau,
-    run_pooled_pcr,
     success_probability,
 )
 from corrpool.viral import DEFAULT_GMM, sample_viral_load
@@ -24,14 +23,14 @@ def test_zero_loads_always_negative():
     rng = np.random.default_rng(0)
     params = PcrParams(tau=174)
     for n in (1, 6, 40):
-        assert not any(run_pooled_pcr([0.0] * n, n, params, rng) for _ in range(50))
+        assert not draw_positive(np.zeros(50), n, params, rng).any()
 
 
 def test_saturated_load_positive():
     params = PcrParams(tau=174)
     assert success_probability(1e9, 1, params) > 1 - 1e-12
     rng = np.random.default_rng(0)
-    assert run_pooled_pcr([1e9], 1, params, rng)
+    assert draw_positive(1e9, 1, params, rng).all()
 
 
 def test_individual_fnr_at_calibrated_tau():

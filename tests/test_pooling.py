@@ -83,6 +83,46 @@ def test_correlated_household_larger_than_pool():
     a.validate()
 
 
+def _first_fit_reference(population, n, rng):
+    """First-fit without pointers: scan every pool from the start each time."""
+    sizes = population.household_sizes
+    starts = population.household_starts()
+    N = int(sizes.sum())
+    P = -(-N // n)
+    free = [n] * P
+    pool_of = np.empty(N, dtype=np.int64)
+    splits = 0
+    for h in rng.permutation(sizes.size):
+        s, start = int(sizes[h]), int(starts[h])
+        fits = [j for j in range(P) if free[j] >= s]
+        if fits:
+            pool_of[start : start + s] = fits[0]
+            free[fits[0]] -= s
+            continue
+        splits += 1
+        for person in range(start, start + s):
+            k = next(k for k in range(P) if free[k] > 0)
+            pool_of[person] = k
+            free[k] -= 1
+    return pool_of, splits
+
+
+@pytest.mark.parametrize("dist", ["US", "CN", "FR", "US+2"])
+def test_correlated_matches_first_fit_reference(dist):
+    for N in (1, 7, 100, 613):
+        for n in (1, 2, 3, 4, 6, 12, 40):
+            for seed in range(6):
+                pop = generate_population(
+                    N, HOUSEHOLD_DISTS[dist], 0.05, 0.3, rng=np.random.default_rng(seed)
+                )
+                a = assign_correlated(pop, n, np.random.default_rng(100 + seed))
+                pool_of, splits = _first_fit_reference(pop, n, np.random.default_rng(100 + seed))
+                assert a.pool_of.dtype == pool_of.dtype
+                assert np.array_equal(a.pool_of, pool_of), (dist, N, n, seed)
+                assert a.split_households == splits, (dist, N, n, seed)
+                assert a.num_pools == -(-N // n)
+
+
 def test_split_households_bounded_by_pool_count():
     rng = np.random.default_rng(6)
     for _ in range(20):

@@ -220,6 +220,27 @@ def test_cli_malformed_workers_env_exits_2(monkeypatch, capsys):
     assert WORKERS_ENV in err and "'abc'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["sweep", "--alphas", "0.01", "--pool-sizes", "6", "--output", os.devnull],
+        ["optimize", "--candidates", "4,6", "--replications", "500"],
+    ],
+    ids=["simulate", "sweep", "optimize"],
+)
+def test_cli_malformed_workers_env_fails_before_tau_calibration(monkeypatch, capsys, argv):
+    def never_calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_tau called before the worker count was read")
+
+    monkeypatch.setattr(corrpool.runner, "calibrate_tau", never_calibrate)
+    monkeypatch.setenv(WORKERS_ENV, "abc")
+    rc = main(argv + ["--beta-bar", "0.05", "--population-size", "60"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {WORKERS_ENV} must be an integer, got 'abc'\n"
+
+
 def test_cli_exit_code_infeasible():
     rc = main(
         ["simulate", "--alpha", "0.9", "--q", "0.0", "--tau", "174",
