@@ -20,7 +20,7 @@ from .pcr import (
 from .population import HouseholdDist, HOUSEHOLD_DISTS, Population, generate_population
 from .pooling import PoolingAssignment, assign_naive, assign_correlated
 from .dorfman import ProtocolOutcome, run_dorfman
-from .metrics import MetricsSummary, compute_metrics, summarize_replications, estimate_fpr
+from .metrics import summarize_replications, estimate_fpr
 from .theory import (
     CounterexampleResult,
     counterexample_closed_form,
@@ -60,8 +60,6 @@ __all__ = [
     "assign_correlated",
     "ProtocolOutcome",
     "run_dorfman",
-    "MetricsSummary",
-    "compute_metrics",
     "summarize_replications",
     "estimate_fpr",
     "CounterexampleResult",

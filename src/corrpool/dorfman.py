@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pcr import RealisticSensitivity
 from .pooling import PoolingAssignment
 from .population import Population
 
@@ -64,9 +63,9 @@ def run_dorfman(
 ) -> ProtocolOutcome:
     """Run the two-stage protocol over an assignment and tally outcomes.
 
-    `sensitivity` is a RealisticSensitivity (dilution via the subsample volume,
-    driven by each pool's actual size, or its nominal size when pad_last_pool)
-    or a callable step/piecewise sensitivity applied to the pool's mean load.
+    `sensitivity` is any model from corrpool.pcr. A pooled test passes the
+    pool's total load with its actual size as the dilution, or its nominal size
+    n when pad_last_pool; an individual test passes one load with size 1.
     """
     V = population.viral_load
     if V.size != assignment.pool_of.size:
@@ -82,20 +81,13 @@ def run_dorfman(
     )
 
     dilution = np.full(P, n) if pad_last_pool else pool_size
-    if isinstance(sensitivity, RealisticSensitivity):
-        pool_positive = sensitivity.draw(pool_load, dilution, rng)
-    else:
-        p_pool = sensitivity(pool_load / dilution)
-        pool_positive = rng.random(P) < p_pool
+    pool_positive = sensitivity.draw(pool_load, dilution, rng)
 
     # individual outcomes: only infected persons can test positive (p(0) = 0)
     w = np.zeros(V.size, dtype=bool)
     inf_idx = np.flatnonzero(population.infected)
     if inf_idx.size:
-        if isinstance(sensitivity, RealisticSensitivity):
-            p_ind = sensitivity.success_probability(V[inf_idx], 1)
-        else:
-            p_ind = sensitivity(V[inf_idx])
+        p_ind = sensitivity.success_probability(V[inf_idx], 1)
         w[inf_idx] = rng.random(inf_idx.size) < p_ind
 
     individual_positive_count = np.bincount(pool_of, weights=w.astype(float), minlength=P).astype(

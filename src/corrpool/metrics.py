@@ -12,24 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dorfman import ProtocolOutcome
-
-
-@dataclass
-class MetricsSummary:
-    """Metrics of a single protocol run; None marks undefined ratios."""
-
-    sensitivity: float | None
-    efficiency: float
-    gamma: float
-    eta: float | None
-    pooled_tests: int
-    followup_tests: int
-    total_S: int
-    total_D: int
-    N: int
-    n: int
-
 
 @dataclass
 class ReplicationSummary:
@@ -50,25 +32,6 @@ class ReplicationSummary:
         if self.sensitivity is None:
             return None
         return self.sensitivity * self.efficiency
-
-
-def compute_metrics(outcome: ProtocolOutcome) -> MetricsSummary:
-    """Metrics of one protocol run from its pooled tallies."""
-    S = outcome.total_S
-    D = outcome.total_D
-    tests = outcome.total_tests
-    return MetricsSummary(
-        sensitivity=(D / S) if S > 0 else None,
-        efficiency=outcome.N / tests,
-        gamma=D / tests,
-        eta=(outcome.total_followup / D) if D > 0 else None,
-        pooled_tests=outcome.pooled_tests,
-        followup_tests=outcome.total_followup,
-        total_S=S,
-        total_D=D,
-        N=outcome.N,
-        n=outcome.n,
-    )
 
 
 def _mean_se(values: np.ndarray):

@@ -1,6 +1,9 @@
 """PCR sensitivity models.
 
-Three variants of the per-test sensitivity function p(v):
+Three variants of the per-test sensitivity function p(v), each with the same
+method pair: success_probability(total_load, pool_size=1), the probability
+that a test on pool_size samples with summed load total_load is positive, and
+draw(total_load, pool_size, rng), which samples those outcomes:
 
 - realistic: a physical chain where the machine counts template copies from a
   subsample. The pooled sample holds K = round(sample_volume * sum of member
@@ -12,6 +15,9 @@ Three variants of the per-test sensitivity function p(v):
 - step: deterministic threshold on viral load, p(v) = 1{v >= u0}.
 - piecewise: a piecewise-constant function used by the exact counterexample
   analysis: 0 at v=0, theta1 on (0,2), theta2 on [2,3), 1 on [3,inf).
+
+The step and piecewise functions are applied to the pool's mean load
+total_load / pool_size, and their draws compare one uniform per test with it.
 
 All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
@@ -134,19 +140,11 @@ def binomial_tail(counts, p, tau):
     return out
 
 
-def success_probability(total_load, pool_size, params: PcrParams):
-    """Analytic probability that a pooled test on the given total load is positive.
-
-    total_load is the sum of member viral loads in copies/mL; pool_size may be
-    a scalar or an array matched to total_load.
-    """
+def _loads(total_load) -> np.ndarray:
     total_load = np.asarray(total_load, dtype=float)
     if np.any(total_load < 0):
         raise ValueError("viral loads must be non-negative")
-    K = np.rint(total_load * params.sample_volume_ml)
-    p = params.capture_probability(pool_size)
-    out = binomial_tail(K, p, params.tau)
-    return float(out) if out.ndim == 0 else out
+    return total_load
 
 
 def draw_positive(total_load, pool_size, params: PcrParams, rng: np.random.Generator):
@@ -156,9 +154,7 @@ def draw_positive(total_load, pool_size, params: PcrParams, rng: np.random.Gener
     means use a Poisson approximation, except that loads whose analytic tail
     exceeds 1 - 1e-12 are declared positive outright.
     """
-    total_load = np.atleast_1d(np.asarray(total_load, dtype=float))
-    if np.any(total_load < 0):
-        raise ValueError("viral loads must be non-negative")
+    total_load = np.atleast_1d(_loads(total_load))
     K = np.rint(total_load * params.sample_volume_ml)
     p = np.broadcast_to(np.asarray(params.capture_probability(pool_size)), K.shape)
     tail = binomial_tail(K, p, params.tau)
@@ -185,14 +181,33 @@ class RealisticSensitivity:
     params: PcrParams = PcrParams()
 
     def success_probability(self, total_load, pool_size=1):
-        return success_probability(total_load, pool_size, self.params)
+        """Analytic probability that a test on the given total load is positive.
+
+        total_load is the sum of member viral loads in copies/mL; pool_size may
+        be a scalar or an array matched to total_load.
+        """
+        K = np.rint(_loads(total_load) * self.params.sample_volume_ml)
+        out = binomial_tail(K, self.params.capture_probability(pool_size), self.params.tau)
+        return float(out) if out.ndim == 0 else out
 
     def draw(self, total_load, pool_size, rng):
         return draw_positive(total_load, pool_size, self.params, rng)
 
 
+class _MeanLoadSensitivity:
+    """A sensitivity function p(v) applied to the pool's mean load."""
+
+    def success_probability(self, total_load, pool_size=1):
+        out = self._p(_loads(total_load) / pool_size)
+        return float(out) if out.ndim == 0 else out
+
+    def draw(self, total_load, pool_size, rng):
+        p = self.success_probability(total_load, pool_size)
+        return rng.random(np.shape(p)) < p
+
+
 @dataclass(frozen=True)
-class StepSensitivity:
+class StepSensitivity(_MeanLoadSensitivity):
     """Deterministic threshold sensitivity: p(v) = 1 when v >= u0 (and v > 0)."""
 
     u0: float
@@ -201,16 +216,12 @@ class StepSensitivity:
         if self.u0 < 0:
             raise ValueError("u0 must be non-negative")
 
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        if np.any(v < 0):
-            raise ValueError("viral loads must be non-negative")
-        out = np.where((v >= self.u0) & (v > 0), 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _p(self, v):
+        return np.where((v >= self.u0) & (v > 0), 1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class PiecewiseSensitivity:
+class PiecewiseSensitivity(_MeanLoadSensitivity):
     """Piecewise-constant sensitivity: 0 at 0, theta1 on (0,2), theta2 on [2,3), 1 on [3,inf)."""
 
     theta1: float
@@ -220,16 +231,12 @@ class PiecewiseSensitivity:
         if not 0 < self.theta1 < self.theta2 < 1:
             raise ValueError("need 0 < theta1 < theta2 < 1")
 
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        if np.any(v < 0):
-            raise ValueError("viral loads must be non-negative")
-        out = np.select(
+    def _p(self, v):
+        return np.select(
             [v == 0, v < 2, v < 3],
             [0.0, self.theta1, self.theta2],
             default=1.0,
         )
-        return float(out) if out.ndim == 0 else out
 
 
 def calibrate_tau(

@@ -141,24 +141,10 @@ class ScenarioConfig:
 
     def echo(self, tau: int) -> dict:
         """Resolved configuration embedded in every output artifact."""
-        return {
-            "alpha": self.alpha,
-            "q": self.q,
-            "household_dist": (
-                self.household_dist
-                if isinstance(self.household_dist, str)
-                else list(self.household_dist)
-            ),
-            "pool_size": self.pool_size,
-            "beta_bar": self.beta_bar,
-            "tau": tau,
-            "sensitivity_variant": self.sensitivity_variant,
-            "population_size": self.population_size,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "strategies": list(self.strategies),
-            "pad_last_pool": self.pad_last_pool,
-        }
+        # gmm is left out: recording it would change the golden summary hash
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gmm"}
+        echo["tau"] = tau
+        return echo
 
 
 @dataclass
@@ -216,15 +202,13 @@ def worker_count() -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
 
 
-def run_replications(config: ScenarioConfig, tau: int | None = None) -> dict[str, StrategyTallies]:
-    """Run all replications, in parallel when CORRPOOL_WORKERS > 1.
+def run_replications(config: ScenarioConfig, tau: int) -> dict[str, StrategyTallies]:
+    """Run all replications at threshold tau, in parallel when CORRPOOL_WORKERS > 1.
 
     Results are assembled in replication order, so output is identical for any
     worker count.
     """
     workers = worker_count()
-    if tau is None:
-        tau = config.resolve_tau()
     reps = list(range(config.replications))
     rows: list[tuple[int, dict]] = []
     if workers == 1 or len(reps) < 2 * workers:
@@ -272,15 +256,10 @@ class ScenarioResult:
         return out
 
 
-def run_scenario(config: ScenarioConfig, tau: int | None = None) -> ScenarioResult:
-    """Run a scenario and summarize per-strategy metrics.
-
-    tau, when given, is used in place of config.resolve_tau(), as in
-    run_replications; cells that share (seed, beta_bar, gmm) share one tau.
-    """
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Run a scenario and summarize per-strategy metrics."""
     worker_count()  # a malformed CORRPOOL_WORKERS fails before tau calibration
-    if tau is None:
-        tau = config.resolve_tau()
+    tau = config.resolve_tau()
     tallies = run_replications(config, tau)
     summaries = {s: t.summarize(config.population_size) for s, t in tallies.items()}
     fpr = {}
@@ -309,8 +288,8 @@ def run_sweep(config: ScenarioConfig, alphas, pool_sizes) -> list[dict]:
     for alpha in alphas:
         for n in pool_sizes:
             cell = replace(config, alpha=alpha, pool_size=n)
-            result = run_scenario(cell, tau)
-            for strategy, s in result.summaries.items():
+            for strategy, t in run_replications(cell, tau).items():
+                s = t.summarize(config.population_size)
                 rows.append(
                     {
                         "strategy": strategy,

@@ -107,7 +107,6 @@ class PolicyResult:
 def optimize_pool_size(
     config: ScenarioConfig,
     candidate_sizes,
-    replications: int | None = None,
     b_i: float | None = None,
     b_r: float | None = None,
 ) -> dict[str, PolicyResult]:
@@ -122,8 +121,6 @@ def optimize_pool_size(
     candidate_sizes = sorted(set(int(n) for n in candidate_sizes))
     if not candidate_sizes:
         raise ValueError("candidate_sizes must be non-empty")
-    if replications is not None:
-        config = replace(config, replications=replications)
     if config.replications < 500:
         raise ValueError("pool-size optimization needs at least 500 replications")
 

@@ -36,18 +36,6 @@ class CounterexampleResult:
     eff0: float
     eff1: float
 
-    def fields(self) -> tuple[float, ...]:
-        return (
-            self.beta0,
-            self.beta1,
-            self.ey0,
-            self.ey1,
-            self.eta0,
-            self.eta1,
-            self.eff0,
-            self.eff1,
-        )
-
 
 def _validate_counterexample_args(theta1, theta2, alpha):
     if not 0 < theta1 < theta2 < 1:
@@ -79,9 +67,9 @@ def _enumerate_pool(joint, sens: PiecewiseSensitivity, alpha: float):
     e_d = 0.0
     e_fn = 0.0
     for (v1, v2), prob in joint:
-        p_pool = float(sens(np.asarray((v1 + v2) / 2.0)))
-        p1 = float(sens(np.asarray(float(v1))))
-        p2 = float(sens(np.asarray(float(v2))))
+        p_pool = sens.success_probability(v1 + v2, _POOL_SIZE)
+        p1 = sens.success_probability(v1)
+        p2 = sens.success_probability(v2)
         for y in (0, 1):
             py = p_pool if y else 1.0 - p_pool
             for w1 in (0, 1):

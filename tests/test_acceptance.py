@@ -7,6 +7,7 @@ replications (both strategies of a replication share one population draw).
 """
 
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_criterion_6_counterexample_oracle_equivalence():
                     continue
                 cf = counterexample_closed_form(float(t1), float(t2), alpha)
                 en = counterexample_enumerate(float(t1), float(t2), alpha)
-                assert np.allclose(cf.fields(), en.fields(), atol=1e-12, rtol=0), (t1, t2, alpha)
+                assert np.allclose(astuple(cf), astuple(en), atol=1e-12, rtol=0), (t1, t2, alpha)
                 if alpha == 0.01:
                     region_a += en.eff1 < en.eff0
                     region_b += en.eta1 > en.eta0

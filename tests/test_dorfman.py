@@ -86,24 +86,21 @@ def test_aggregates_permutation_invariant_in_pool_order():
 
 
 def test_pad_last_pool_changes_only_ragged_dilution():
-    # a single pool of 3 with nominal size 6: padding dilutes the subsample
-    # to 100/6 uL, so the detection probability drops
-    from corrpool.pcr import success_probability
-
+    # a single pool of 3 with nominal size 6: padding dilutes the sample 6-fold
+    # instead of 3-fold (the realistic subsample shrinks to 100/6 uL; the step
+    # model sees a mean load of 7000/6 < u0 <= 7000/3), so detection drops
     load = 7000.0
-    params = PcrParams(tau=174)
-    p_actual = success_probability(load, 3, params)
-    p_padded = success_probability(load, 6, params)
-    assert p_padded < p_actual
     rng = np.random.default_rng(6)
     pop = _manual_population([load, 0.0, 0.0])
     a = assign_naive(3, 6, rng)
-    hits_pad = hits_plain = 0
     trials = 4000
-    for _ in range(trials):
-        hits_plain += run_dorfman(pop, a, RealisticSensitivity(params), rng).pool_positive[0]
-        hits_pad += run_dorfman(
-            pop, a, RealisticSensitivity(params), rng, pad_last_pool=True
-        ).pool_positive[0]
-    assert hits_plain / trials == pytest.approx(p_actual, abs=0.03)
-    assert hits_pad / trials == pytest.approx(p_padded, abs=0.03)
+    for sens in (RealisticSensitivity(PcrParams(tau=174)), StepSensitivity(2000.0)):
+        p_actual = sens.success_probability(load, 3)
+        p_padded = sens.success_probability(load, 6)
+        assert p_padded < p_actual
+        hits_pad = hits_plain = 0
+        for _ in range(trials):
+            hits_plain += run_dorfman(pop, a, sens, rng).pool_positive[0]
+            hits_pad += run_dorfman(pop, a, sens, rng, pad_last_pool=True).pool_positive[0]
+        assert hits_plain / trials == pytest.approx(p_actual, abs=0.03)
+        assert hits_pad / trials == pytest.approx(p_padded, abs=0.03)

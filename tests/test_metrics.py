@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from corrpool.dorfman import ProtocolOutcome, run_dorfman
-from corrpool.metrics import compute_metrics, estimate_fpr, summarize_replications
+from corrpool.dorfman import run_dorfman
+from corrpool.metrics import estimate_fpr, summarize_replications
 from corrpool.pcr import PcrParams, RealisticSensitivity
 from corrpool.pooling import assign_correlated
 from corrpool.population import HOUSEHOLD_DISTS, generate_population
@@ -12,21 +12,16 @@ from corrpool.population import HOUSEHOLD_DISTS, generate_population
 US = HOUSEHOLD_DISTS["US"]
 
 
-def _outcome_from_totals(N, n, pools, followup, S, D):
-    P = pools
-    s_count = np.zeros(P, dtype=np.int64)
-    s_count[0] = S
-    detected = np.zeros(P, dtype=np.int64)
-    detected[0] = D
-    pool_positive = np.zeros(P, dtype=bool)
-    pool_positive[0] = followup > 0
-    followups = np.zeros(P, dtype=np.int64)
-    followups[0] = followup
-    return ProtocolOutcome(s_count, pool_positive, detected.copy(), detected, followups, N, n)
+def _summarize(outcome):
+    """One-replication summary of a protocol run's totals."""
+    return summarize_replications(
+        [outcome.total_S], [outcome.total_D], [outcome.pooled_tests], [outcome.total_followup],
+        outcome.N,
+    )
 
 
 def test_definitional_arithmetic():
-    m = compute_metrics(_outcome_from_totals(N=600, n=6, pools=100, followup=30, S=12, D=10))
+    m = summarize_replications(S=[12], D=[10], pooled=[100], followup=[30], N=600)
     assert m.sensitivity == pytest.approx(10 / 12, abs=1e-4)
     assert m.efficiency == pytest.approx(600 / 130)
     assert m.eta == pytest.approx(3.0)
@@ -34,7 +29,7 @@ def test_definitional_arithmetic():
 
 
 def test_all_negative_outcome_flags():
-    m = compute_metrics(_outcome_from_totals(N=600, n=6, pools=100, followup=0, S=0, D=0))
+    m = summarize_replications(S=[0], D=[0], pooled=[100], followup=[0], N=600)
     assert m.sensitivity is None
     assert m.eta is None
     assert m.efficiency == 6.0
@@ -47,7 +42,7 @@ def test_efficiency_identity_on_raw_tallies():
     for _ in range(20):
         pop = generate_population(600, US, 0.05, 0.3, rng=rng)
         out = run_dorfman(pop, assign_correlated(pop, 6, rng), sens, rng)
-        m = compute_metrics(out)
+        m = _summarize(out)
         if m.eta is None:
             continue
         alpha_hat = out.total_S / out.N
@@ -60,7 +55,7 @@ def test_gamma_identity_from_per_pool_tallies():
     sens = RealisticSensitivity(PcrParams(tau=174))
     pop = generate_population(600, US, 0.05, 0.3, rng=rng)
     out = run_dorfman(pop, assign_correlated(pop, 6, rng), sens, rng)
-    m = compute_metrics(out)
+    m = _summarize(out)
     recomputed = out.detected.sum() / (out.pool_positive.size + out.followup_tests.sum())
     assert abs(m.gamma - recomputed) < 1e-12
 

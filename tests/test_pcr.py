@@ -1,5 +1,7 @@
 """Tests for the PCR sensitivity models and threshold calibration."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,7 +16,6 @@ from corrpool.pcr import (
     RealisticSensitivity,
     StepSensitivity,
     calibrate_tau,
-    success_probability,
 )
 from corrpool.viral import DEFAULT_GMM, sample_viral_load
 
@@ -28,7 +29,7 @@ def test_zero_loads_always_negative():
 
 def test_saturated_load_positive():
     params = PcrParams(tau=174)
-    assert success_probability(1e9, 1, params) > 1 - 1e-12
+    assert RealisticSensitivity(params).success_probability(1e9, 1) > 1 - 1e-12
     rng = np.random.default_rng(0)
     assert draw_positive(1e9, 1, params, rng).all()
 
@@ -37,14 +38,14 @@ def test_individual_fnr_at_calibrated_tau():
     rng = np.random.default_rng(7)
     loads = sample_viral_load(DEFAULT_GMM, rng, size=10**6)
     params = PcrParams(tau=174)
-    positive_fraction = success_probability(loads, 1, params).mean()
+    positive_fraction = RealisticSensitivity(params).success_probability(loads, 1).mean()
     assert positive_fraction == pytest.approx(0.95, abs=0.005)
 
 
 def test_tail_near_threshold_matches_poisson():
     # mean count exactly tau: K*p = 3480 * 0.05 = 174
     params = PcrParams(tau=174)
-    prob = success_probability(3480.0, 1, params)
+    prob = RealisticSensitivity(params).success_probability(3480.0, 1)
     poisson_tail = 1.0 - stats.poisson.cdf(173, 174)
     assert poisson_tail == pytest.approx(0.51, abs=0.01)
     assert prob == pytest.approx(poisson_tail, abs=0.02)
@@ -52,40 +53,71 @@ def test_tail_near_threshold_matches_poisson():
 
 def test_piecewise_evaluation():
     fn = PiecewiseSensitivity(0.2, 0.9)
-    assert fn(0.0) == 0.0
-    assert fn(1.0) == 0.2
-    assert fn(2.5) == 0.9
-    assert fn(3.0) == 1.0
+    assert fn.success_probability(0.0) == 0.0
+    assert fn.success_probability(1.0) == 0.2
+    assert fn.success_probability(2.5) == 0.9
+    assert fn.success_probability(3.0) == 1.0
     with pytest.raises(ValueError):
-        fn(-1.0)
+        fn.success_probability(-1.0)
     with pytest.raises(ValueError):
         PiecewiseSensitivity(0.9, 0.2)
 
 
 def test_step_evaluation():
     fn = StepSensitivity(100.0)
-    assert fn(99.9) == 0.0
-    assert fn(100.0) == 1.0
-    assert fn(0.0) == 0.0
+    assert fn.success_probability(99.9) == 0.0
+    assert fn.success_probability(100.0) == 1.0
+    assert fn.success_probability(0.0) == 0.0
 
 
 def test_monotonicity_in_load():
-    params = PcrParams(tau=174)
+    realistic = RealisticSensitivity(PcrParams(tau=174))
     grid = np.logspace(0, 10, 200)
     for fn in (
-        lambda v: success_probability(v, 1, params),
-        lambda v: success_probability(v, 6, params),
-        PiecewiseSensitivity(0.2, 0.9),
-        StepSensitivity(1e4),
+        lambda v: realistic.success_probability(v, 1),
+        lambda v: realistic.success_probability(v, 6),
+        PiecewiseSensitivity(0.2, 0.9).success_probability,
+        StepSensitivity(1e4).success_probability,
     ):
         values = fn(grid)
         assert np.all(np.diff(values) >= -1e-15)
 
 
-def test_dilution_non_increasing_in_pool_size():
+def _piecewise(v):
+    return 0.0 if v == 0 else 0.2 if v < 2 else 0.9 if v < 3 else 1.0
+
+
+def test_every_model_shares_success_probability_and_draw():
+    # success_probability(total, n) is the model's function of total / n (for
+    # the realistic model, the binomial tail of the total count at the n-fold
+    # diluted capture probability); draw samples exactly those outcomes
     params = PcrParams(tau=174)
+    realistic = RealisticSensitivity(params)
+    mean_load_models = [
+        (StepSensitivity(1e4), lambda v: float(v >= 1e4)),
+        (StepSensitivity(0.0), lambda v: float(v > 0)),
+        (PiecewiseSensitivity(0.2, 0.9), _piecewise),
+    ]
+    totals = np.array([0.0, 6.0, 12.0, 15.0, 18.0, 7000.0, 20880.0, 59994.0, 6e4, 1e9])
+    ragged = np.array([6] * 9 + [3])
+    for n in (1, 6, ragged):
+        expected = binomial_tail(np.rint(totals), params.capture_probability(n), params.tau)
+        assert np.array_equal(realistic.success_probability(totals, n), expected)
+        rng = np.random.default_rng(8)
+        clone = copy.deepcopy(rng)
+        assert np.array_equal(realistic.draw(totals, n, rng), draw_positive(totals, n, params, clone))
+        for model, fn in mean_load_models:
+            p = model.success_probability(totals, n)
+            assert np.array_equal(p, [fn(v) for v in totals / n])
+            rng = np.random.default_rng(8)
+            clone = copy.deepcopy(rng)
+            assert np.array_equal(model.draw(totals, n, rng), clone.random(totals.size) < p)
+
+
+def test_dilution_non_increasing_in_pool_size():
+    sens = RealisticSensitivity(PcrParams(tau=174))
     for load in (1e3, 1e4, 1e5, 1e6):
-        probs = [success_probability(load, n, params) for n in (1, 2, 6, 12, 40)]
+        probs = [sens.success_probability(load, n) for n in (1, 2, 6, 12, 40)]
         assert np.all(np.diff(probs) <= 1e-15)
 
 
@@ -94,7 +126,7 @@ def test_sampled_outcomes_match_analytic_tail():
     rng = np.random.default_rng(3)
     trials = 10**5
     for load in (2000.0, 3480.0, 5000.0, 2e4, 1e6):
-        analytic = success_probability(load, 1, params)
+        analytic = RealisticSensitivity(params).success_probability(load, 1)
         hits = draw_positive(np.full(trials, load), 1, params, rng).sum()
         se = np.sqrt(max(analytic * (1 - analytic), 1e-12) / trials)
         assert abs(hits / trials - analytic) < max(3 * se, 1e-3)
