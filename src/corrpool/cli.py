@@ -10,6 +10,7 @@ from the CORRPOOL_WORKERS environment variable.
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def _scenario_args(sub: argparse.ArgumentParser):
     sub.add_argument("--tau", type=int, help="explicit detection threshold")
     sub.add_argument("--population-size", type=int)
     sub.add_argument("--replications", type=int)
-    sub.add_argument("--seed", type=int, help="master seed")
+    sub.add_argument("--seed", type=int, dest="master_seed", metavar="SEED", help="master seed")
     sub.add_argument("--strategies", help="comma-separated subset of naive,correlated")
     sub.add_argument("--pad-last-pool", action="store_true", default=None)
 
@@ -73,25 +74,15 @@ def _build_config(args) -> ScenarioConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    overrides = {
-        "alpha": args.alpha,
-        "q": args.q,
-        "pool_size": args.pool_size,
-        "beta_bar": args.beta_bar,
-        "tau": args.tau,
-        "population_size": args.population_size,
-        "replications": args.replications,
-        "master_seed": args.seed,
-        "pad_last_pool": args.pad_last_pool,
-    }
-    if args.household_dist is not None:
-        if "," in args.household_dist:
-            overrides["household_dist"] = _parse_floats(args.household_dist)
-        else:
-            overrides["household_dist"] = args.household_dist
-    if args.strategies is not None:
-        overrides["strategies"] = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    for f in fields(ScenarioConfig):
+        value = getattr(args, f.name, None)
+        if value is None:
+            continue
+        if f.name == "household_dist" and "," in value:
+            value = _parse_floats(value)
+        elif f.name == "strategies":
+            value = [s.strip() for s in value.split(",") if s.strip()]
+        data[f.name] = value
     return ScenarioConfig.from_dict(data)
 
 
@@ -216,17 +207,7 @@ def _cmd_optimize(args) -> int:
     config = _build_config(args)
     candidates = _parse_ints(args.candidates)
     results = optimize_pool_size(config, candidates, b_i=args.b_i, b_r=args.b_r)
-    payload = {
-        strategy: {
-            "pool_size": r.pool_size,
-            "sensitivity": r.sensitivity,
-            "efficiency": r.efficiency,
-            "objective": r.objective,
-            "f_star": r.f_star,
-            "relative_consumption": r.relative_consumption,
-        }
-        for strategy, r in results.items()
-    }
+    payload = {strategy: asdict(r) for strategy, r in results.items()}
     if "naive" in results and "correlated" in results:
         payload["consumption_reduction"] = consumption_reduction(
             results["naive"].objective, results["correlated"].objective

@@ -42,6 +42,8 @@ from .viral import GmmParams, sample_viral_load
 _SURE_POSITIVE = 1.0 - 1e-12
 # Exact binomial sampling below this mean count; Poisson approximation above.
 _EXACT_MEAN_COUNT = 1e4
+# Upper end of calibrate_tau's search range.
+_TAU_MAX = 10**7
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,6 @@ def calibrate_tau(
     params: PcrParams | None = None,
     rng: np.random.Generator | None = None,
     draws: int = 10**6,
-    tau_max: int = 10**7,
 ) -> int:
     """Smallest integer tau whose estimated individual-test FNR reaches the target.
 
@@ -270,9 +271,9 @@ def calibrate_tau(
     def beta_bar(tau):
         return 1.0 - binomial_tail(K, p, tau).mean()
 
-    lo, hi = 1, tau_max
+    lo, hi = 1, _TAU_MAX
     if beta_bar(hi) < target_beta_bar:
-        raise ValueError(f"target FNR {target_beta_bar} unreachable with tau <= {tau_max}")
+        raise ValueError(f"target FNR {target_beta_bar} unreachable with tau <= {_TAU_MAX}")
     if beta_bar(lo) >= target_beta_bar:
         return lo
     # invariant: beta_bar(lo) < target <= beta_bar(hi)

@@ -10,7 +10,7 @@ target prevalence alpha. Infected persons receive independent viral loads from
 the mixture model.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class Population:
     household_id: np.ndarray
     infected: np.ndarray
     viral_load: np.ndarray
-    alpha: float
-    q: float
-    dist: HouseholdDist = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -107,13 +104,12 @@ def generate_population(
     alpha: float,
     q: float,
     gmm: GmmParams = DEFAULT_GMM,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> Population:
     """Generate a population of exactly N persons with household-correlated infections."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng()
     ph = household_infection_prob(alpha, q, dist)
     weights = np.asarray(dist.weights)
 
@@ -148,4 +144,4 @@ def generate_population(
     n_inf = int(infected.sum())
     if n_inf:
         viral_load[infected] = sample_viral_load(gmm, rng, size=n_inf)
-    return Population(sizes, household_id, infected, viral_load, alpha, q, dist)
+    return Population(sizes, household_id, infected, viral_load)

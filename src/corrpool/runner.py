@@ -5,15 +5,24 @@ replication count. Replication r draws every random quantity from streams
 derived from (master_seed, r), so results are identical regardless of how
 replications are scheduled across workers; both strategies of a replication
 share one population draw, making cross-strategy comparisons paired.
+
+simulate, sweep and optimize share one cell loop, run_cells, which resolves
+tau once and runs each (alpha, pool size) cell at it. A malformed config,
+including its sensitivity variant and integer and boolean fields, fails in
+ScenarioConfig, before any tau calibration.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -33,6 +42,10 @@ _TAG_STRATEGY = {"naive": 1, "correlated": 2}
 _TAG_CALIBRATION = 3
 
 _STRATEGIES = ("naive", "correlated")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -58,14 +71,14 @@ class ScenarioConfig:
             raise ConfigError("alpha must be in (0, 1)")
         if not 0 <= self.q <= 1:
             raise ConfigError("q must be in [0, 1]")
-        if self.pool_size < 1:
-            raise ConfigError("pool_size must be at least 1")
-        if self.population_size < 1:
-            raise ConfigError("population_size must be at least 1")
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
-        if not 0 <= self.master_seed < 2**64:
+        for name in ("pool_size", "population_size", "replications"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
+        if not isinstance(self.pad_last_pool, bool):
+            raise ConfigError(f"pad_last_pool must be true or false, got {self.pad_last_pool!r}")
         if self.tau is None and self.beta_bar is None:
             raise ConfigError("either tau or beta_bar must be given")
         if self.tau is not None and (self.tau != int(self.tau) or self.tau < 1):
@@ -75,14 +88,9 @@ class ScenarioConfig:
         for s in self.strategies:
             if s not in _STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}")
-        variant = self.sensitivity_variant.get("variant")
-        if variant not in ("realistic", "step", "piecewise"):
-            raise ConfigError("sensitivity_variant.variant must be realistic, step, or piecewise")
-        if variant == "step" and "u0" not in self.sensitivity_variant:
-            raise ConfigError("step sensitivity needs u0")
-        if variant == "piecewise" and not {"theta1", "theta2"} <= set(self.sensitivity_variant):
-            raise ConfigError("piecewise sensitivity needs theta1 and theta2")
-        self.resolve_dist()  # validate early
+        # validate early; any valid tau will do for the realistic model
+        self.resolve_sensitivity(1 if self.tau is None else self.tau)
+        self.resolve_dist()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -95,19 +103,13 @@ class ScenarioConfig:
             kwargs["household_dist"] = tuple(kwargs["household_dist"])
         if "strategies" in kwargs:
             kwargs["strategies"] = tuple(kwargs["strategies"])
-        if "gmm" in kwargs and isinstance(kwargs["gmm"], dict):
-            g = kwargs["gmm"]
-            try:
-                kwargs["gmm"] = GmmParams(
-                    tuple(g["weights"]), tuple(g["mus"]), tuple(g["sigmas"])
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid gmm parameters: {exc}") from exc
         try:
+            if isinstance(kwargs.get("gmm"), dict):
+                kwargs["gmm"] = GmmParams(**{k: tuple(v) for k, v in kwargs["gmm"].items()})
             return cls(**kwargs)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(str(exc)) from exc
 
     def resolve_dist(self) -> HouseholdDist:
@@ -132,12 +134,20 @@ class ScenarioConfig:
         return calibrate_tau(self.beta_bar, self.gmm, PcrParams(), rng)
 
     def resolve_sensitivity(self, tau: int):
+        """The PCR model named by sensitivity_variant; the only parser of that field."""
         v = self.sensitivity_variant
-        if v["variant"] == "realistic":
-            return RealisticSensitivity(PcrParams(tau=tau))
-        if v["variant"] == "step":
-            return StepSensitivity(float(v["u0"]))
-        return PiecewiseSensitivity(float(v["theta1"]), float(v["theta2"]))
+        if not isinstance(v, dict):
+            raise ConfigError(f"sensitivity_variant must be an object, got {v!r}")
+        try:
+            if v["variant"] == "realistic":
+                return RealisticSensitivity(PcrParams(tau=tau))
+            if v["variant"] == "step":
+                return StepSensitivity(float(v["u0"]))
+            if v["variant"] == "piecewise":
+                return PiecewiseSensitivity(float(v["theta1"]), float(v["theta2"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid sensitivity_variant {v!r}: {exc!r}") from exc
+        raise ConfigError("sensitivity_variant.variant must be realistic, step, or piecewise")
 
     def echo(self, tau: int) -> dict:
         """Resolved configuration embedded in every output artifact."""
@@ -168,7 +178,7 @@ def _replication_tallies(config: ScenarioConfig, tau: int, rep: int) -> dict[str
         np.random.SeedSequence((config.master_seed, rep, _TAG_POPULATION))
     )
     pop = generate_population(
-        config.population_size, dist, config.alpha, config.q, config.gmm, rng_pop
+        config.population_size, dist, config.alpha, config.q, config.gmm, rng=rng_pop
     )
     out = {}
     for strategy in config.strategies:
@@ -189,10 +199,6 @@ def _replication_tallies(config: ScenarioConfig, tau: int, rep: int) -> dict[str
     return out
 
 
-def _worker_chunk(config: ScenarioConfig, tau: int, reps: list[int]):
-    return [(r, _replication_tallies(config, tau, r)) for r in reps]
-
-
 def worker_count() -> int:
     """Worker processes from CORRPOOL_WORKERS: default 1, values below 1 mean 1."""
     value = os.environ.get(WORKERS_ENV, "1")
@@ -205,29 +211,39 @@ def worker_count() -> int:
 def run_replications(config: ScenarioConfig, tau: int) -> dict[str, StrategyTallies]:
     """Run all replications at threshold tau, in parallel when CORRPOOL_WORKERS > 1.
 
-    Results are assembled in replication order, so output is identical for any
+    Results come back in replication order, so output is identical for any
     worker count.
     """
     workers = worker_count()
-    reps = list(range(config.replications))
-    rows: list[tuple[int, dict]] = []
+    one = partial(_replication_tallies, config, tau)
+    reps = range(config.replications)
     if workers == 1 or len(reps) < 2 * workers:
-        rows = _worker_chunk(config, tau, reps)
+        rows = list(map(one, reps))
     else:
-        chunks = [reps[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_worker_chunk, config, tau, chunk) for chunk in chunks]
-            for fut in futures:
-                rows.extend(fut.result())
-    rows.sort(key=lambda item: item[0])
+            rows = list(pool.map(one, reps, chunksize=math.ceil(len(reps) / workers)))
 
-    out = {}
-    for strategy in config.strategies:
-        tallies = np.array([row[1][strategy] for row in rows], dtype=np.int64)
-        out[strategy] = StrategyTallies(
-            S=tallies[:, 0], D=tallies[:, 1], pooled=tallies[:, 2], followup=tallies[:, 3]
-        )
-    return out
+    # columns S, D, pooled, followup
+    return {
+        strategy: StrategyTallies(*np.array([row[strategy] for row in rows], dtype=np.int64).T)
+        for strategy in config.strategies
+    }
+
+
+def run_cells(config: ScenarioConfig, cells) -> tuple[int, list[dict[str, StrategyTallies]]]:
+    """Run every (alpha, pool size) cell at one tau, which depends on neither.
+
+    The worker count is read first, so a malformed CORRPOOL_WORKERS fails
+    before tau calibration.
+    """
+    cells = list(cells)
+    if not cells:
+        raise ConfigError("no (alpha, pool size) cells to run")
+    worker_count()
+    tau = config.resolve_tau()
+    return tau, [
+        run_replications(replace(config, alpha=alpha, pool_size=n), tau) for alpha, n in cells
+    ]
 
 
 @dataclass
@@ -238,29 +254,18 @@ class ScenarioResult:
     fpr: dict[str, float | None]
 
     def summary_dict(self) -> dict:
-        out = {"config": self.config_echo, "strategies": {}}
-        for strategy, s in self.summaries.items():
-            out["strategies"][strategy] = {
-                "sensitivity": s.sensitivity,
-                "sensitivity_se": s.sensitivity_se,
-                "efficiency": s.efficiency,
-                "efficiency_se": s.efficiency_se,
-                "gamma": s.gamma,
-                "eta": s.eta,
-                "objective": s.objective,
-                "fpr_estimate": self.fpr[strategy],
-                "replications": s.replications,
-                "undefined_sensitivity": s.undefined_sensitivity,
-                "undefined_eta": s.undefined_eta,
-            }
-        return out
+        return {
+            "config": self.config_echo,
+            "strategies": {
+                strategy: {**asdict(s), "objective": s.objective, "fpr_estimate": self.fpr[strategy]}
+                for strategy, s in self.summaries.items()
+            },
+        }
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run a scenario and summarize per-strategy metrics."""
-    worker_count()  # a malformed CORRPOOL_WORKERS fails before tau calibration
-    tau = config.resolve_tau()
-    tallies = run_replications(config, tau)
+    tau, (tallies,) = run_cells(config, [(config.alpha, config.pool_size)])
     summaries = {s: t.summarize(config.population_size) for s, t in tallies.items()}
     fpr = {}
     for strategy, summary in summaries.items():
@@ -274,33 +279,24 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
 
 def run_sweep(config: ScenarioConfig, alphas, pool_sizes) -> list[dict]:
-    """Run a grid of (alpha, pool size) scenarios; one row per strategy and cell.
-
-    tau depends on neither alpha nor the pool size, so it is resolved once.
-    """
-    alphas = list(alphas)
-    pool_sizes = list(pool_sizes)
-    if not alphas or not pool_sizes:
-        raise ConfigError("sweep grid must be non-empty")
-    worker_count()  # a malformed CORRPOOL_WORKERS fails before tau calibration
-    tau = config.resolve_tau()
+    """Run a grid of (alpha, pool size) scenarios at one tau; one row per strategy and cell."""
+    cells = list(product(alphas, pool_sizes))
+    _, results = run_cells(config, cells)
     rows = []
-    for alpha in alphas:
-        for n in pool_sizes:
-            cell = replace(config, alpha=alpha, pool_size=n)
-            for strategy, t in run_replications(cell, tau).items():
-                s = t.summarize(config.population_size)
-                rows.append(
-                    {
-                        "strategy": strategy,
-                        "alpha": alpha,
-                        "pool_size": n,
-                        "sensitivity": s.sensitivity,
-                        "sensitivity_se": s.sensitivity_se,
-                        "efficiency": s.efficiency,
-                        "efficiency_se": s.efficiency_se,
-                    }
-                )
+    for (alpha, n), tallies in zip(cells, results):
+        for strategy, t in tallies.items():
+            s = t.summarize(config.population_size)
+            rows.append(
+                {
+                    "strategy": strategy,
+                    "alpha": alpha,
+                    "pool_size": n,
+                    "sensitivity": s.sensitivity,
+                    "sensitivity_se": s.sensitivity_se,
+                    "efficiency": s.efficiency,
+                    "efficiency_se": s.efficiency_se,
+                }
+            )
     return rows
 
 

@@ -9,11 +9,9 @@ scales like 1/(sensitivity * efficiency), so pool sizes are chosen to maximize
 sensitivity * efficiency.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from .runner import ScenarioConfig, run_replications, worker_count
+from .runner import ScenarioConfig, run_cells
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,6 @@ def critical_frequency(b_i: float, b_r: float, sensitivity: float) -> float:
 class PolicyResult:
     """Optimal pool size for one strategy and the quantities behind it."""
 
-    strategy: str
     pool_size: int
     sensitivity: float
     efficiency: float
@@ -119,17 +116,12 @@ def optimize_pool_size(
     to 1/objective) are filled in.
     """
     candidate_sizes = sorted(set(int(n) for n in candidate_sizes))
-    if not candidate_sizes:
-        raise ValueError("candidate_sizes must be non-empty")
     if config.replications < 500:
         raise ValueError("pool-size optimization needs at least 500 replications")
 
-    worker_count()  # a malformed CORRPOOL_WORKERS fails before tau calibration
-    tau = config.resolve_tau()
+    _, results = run_cells(config, [(config.alpha, n) for n in candidate_sizes])
     best: dict[str, PolicyResult] = {}
-    for n in candidate_sizes:
-        cell = replace(config, pool_size=n)
-        tallies = run_replications(cell, tau)
+    for n, tallies in zip(candidate_sizes, results):
         for strategy, t in tallies.items():
             summary = t.summarize(config.population_size)
             if summary.sensitivity is None:
@@ -137,7 +129,6 @@ def optimize_pool_size(
             objective = summary.objective
             if strategy not in best or objective > best[strategy].objective:
                 best[strategy] = PolicyResult(
-                    strategy=strategy,
                     pool_size=n,
                     sensitivity=summary.sensitivity,
                     efficiency=summary.efficiency,

@@ -39,16 +39,6 @@ class GmmParams:
     def as_arrays(self):
         return (np.asarray(self.weights), np.asarray(self.mus), np.asarray(self.sigmas))
 
-    def mean(self) -> float:
-        """Analytic mixture mean of log10 viral load."""
-        w, mu, _ = self.as_arrays()
-        return float(np.dot(w, mu))
-
-    def variance(self) -> float:
-        """Analytic mixture variance of log10 viral load."""
-        w, mu, sd = self.as_arrays()
-        return float(np.dot(w, sd**2 + mu**2) - self.mean() ** 2)
-
     def cdf(self, x) -> np.ndarray:
         """Mixture CDF of log10 viral load, vectorized over x."""
         w, mu, sd = self.as_arrays()

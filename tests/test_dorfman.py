@@ -19,9 +19,6 @@ def _manual_population(viral_loads):
         household_id=np.arange(N),
         infected=loads > 0,
         viral_load=loads,
-        alpha=0.01,
-        q=0.0,
-        dist=US,
     )
 
 

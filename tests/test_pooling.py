@@ -19,9 +19,6 @@ def _population_from_sizes(sizes):
         household_id=np.repeat(np.arange(sizes.size), sizes),
         infected=np.zeros(N, dtype=bool),
         viral_load=np.zeros(N),
-        alpha=0.01,
-        q=0.166,
-        dist=US,
     )
 
 

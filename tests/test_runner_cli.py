@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import corrpool.runner
-from corrpool.cli import main
+from corrpool.cli import build_parser, main
 from corrpool.errors import ConfigError
 from corrpool.runner import (
     WORKERS_ENV,
@@ -19,7 +19,9 @@ from corrpool.runner import (
     run_sweep,
     worker_count,
     write_csv,
+    write_summary_json,
 )
+from corrpool.sir import optimize_pool_size
 
 SMALL = dict(
     alpha=0.05,
@@ -53,6 +55,33 @@ def test_config_validates_ranges():
         ScenarioConfig(sensitivity_variant={"variant": "step"})  # missing u0
 
 
+MALFORMED_CONFIGS = {
+    "variant_string": ("sensitivity_variant", "step"),
+    "variant_u0": ("sensitivity_variant", {"variant": "step", "u0": "abc"}),
+    "variant_thetas": ("sensitivity_variant", {"variant": "piecewise", "theta1": 0.9, "theta2": 0.2}),
+    "pool_size": ("pool_size", 6.5),
+    "replications": ("replications", 2.5),
+    "population_size": ("population_size", 100.5),
+    "master_seed": ("master_seed", True),
+    "pad_last_pool": ("pad_last_pool", "no"),
+}
+
+
+@pytest.mark.parametrize("key,value", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_fails_before_tau_calibration(monkeypatch, tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict({key: value})
+
+    def never_calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_tau called for a malformed config")
+
+    monkeypatch.setattr(corrpool.runner, "calibrate_tau", never_calibrate)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    assert main(["simulate", "--config", str(cfg_path), "--beta-bar", "0.05"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_custom_household_weights_accepted():
     cfg = ScenarioConfig.from_dict({"household_dist": [0.5, 0.5, 0, 0, 0, 0]})
     assert cfg.resolve_dist().mean_size() == pytest.approx(1.5)
@@ -67,20 +96,23 @@ def test_run_scenario_deterministic():
         assert np.array_equal(a.tallies[strategy].D, b.tallies[strategy].D)
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    from corrpool.runner import WORKERS_ENV, write_summary_json
-
-    paths = {}
+def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
+    artifacts = {}
     for workers in ("1", "2"):
-        os.environ[WORKERS_ENV] = workers
-        try:
-            result = run_scenario(ScenarioConfig(**SMALL))
-        finally:
-            os.environ.pop(WORKERS_ENV, None)
-        path = tmp_path / f"summary_{workers}.json"
-        write_summary_json(result.summary_dict(), str(path))
-        paths[workers] = path.read_bytes()
-    assert paths["1"] == paths["2"]
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        simulate = tmp_path / f"summary_{workers}.json"
+        write_summary_json(run_scenario(ScenarioConfig(**SMALL)).summary_dict(), str(simulate))
+        sweep = tmp_path / f"sweep_{workers}.csv"
+        write_csv(run_sweep(ScenarioConfig(**SMALL), [0.02, 0.05], [3, 6]), str(sweep))
+        optimize = tmp_path / f"optimize_{workers}.json"
+        argv = [
+            "optimize", "--alpha", "0.05", "--tau", "174", "--population-size", "60",
+            "--replications", "500", "--seed", "4", "--candidates", "3,6",
+            "--output-json", str(optimize),
+        ]
+        assert main(argv) == 0
+        artifacts[workers] = [p.read_bytes() for p in (simulate, sweep, optimize)]
+    assert artifacts["1"] == artifacts["2"]
 
 
 def test_no_infection_scenario_flags_undefined_sensitivity():
@@ -142,6 +174,30 @@ def test_sweep_calibrates_tau_once_and_matches_standalone_cells(monkeypatch):
                 assert row["efficiency_se"] == s.efficiency_se
 
 
+def test_optimize_calibrates_tau_once_and_matches_standalone_cells(monkeypatch):
+    calls = []
+    calibrate = corrpool.runner.calibrate_tau
+
+    def counting_calibrate(*args, **kwargs):
+        calls.append(args)
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(corrpool.runner, "calibrate_tau", counting_calibrate)
+    config = ScenarioConfig(
+        **{**SMALL, "tau": None, "beta_bar": 0.05, "population_size": 60, "replications": 500}
+    )
+    results = optimize_pool_size(config, [6, 3])
+    assert len(calls) == 1
+    assert set(results) == {"naive", "correlated"}
+    objectives = {strategy: [] for strategy in results}
+    for n in (3, 6):
+        for strategy, s in run_scenario(replace(config, pool_size=n)).summaries.items():
+            objectives[strategy].append((s.objective, n))
+    for strategy, r in results.items():
+        best = max(objectives[strategy], key=lambda item: (item[0], -item[1]))
+        assert (r.objective, r.pool_size) == best
+
+
 def test_format_number_twelve_significant_digits():
     assert format_number(1.0 / 3.0) == "0.333333333333"
     assert format_number(123456789) == "123456789"
@@ -194,6 +250,37 @@ def test_cli_config_file_with_flag_override(tmp_path):
                "--output-json", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["config"]["replications"] == 3
+
+
+def test_cli_scenario_flags_land_in_config_echo(tmp_path):
+    out = tmp_path / "s.json"
+    argv = [
+        "simulate", "--alpha", "0.05", "--q", "0.3",
+        "--household-dist", "0.5,0.5,0,0,0,0", "--pool-size", "7",
+        "--beta-bar", "0.1", "--tau", "174", "--population-size", "61",
+        "--replications", "3", "--seed", "11", "--strategies", "correlated",
+        "--pad-last-pool", "--output-json", str(out),
+    ]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["config"] == {
+        "alpha": 0.05,
+        "q": 0.3,
+        "household_dist": [0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+        "pool_size": 7,
+        "beta_bar": 0.1,
+        "tau": 174,
+        "sensitivity_variant": {"variant": "realistic"},
+        "population_size": 61,
+        "replications": 3,
+        "master_seed": 11,
+        "strategies": ["correlated"],
+        "pad_last_pool": True,
+    }
+    # every scenario flag except --config is covered above
+    dests = set(vars(build_parser().parse_args(["simulate"])))
+    assert dests - {"command", "func", "config", "output_json", "output_csv"} == set(
+        json.loads(out.read_text())["config"]
+    ) - {"sensitivity_variant"}
 
 
 def test_cli_exit_code_config_error(tmp_path):
