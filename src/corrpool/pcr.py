@@ -27,7 +27,11 @@ The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
 threshold that the tail is exactly 1.0 in double precision; a Chernoff bound
 gives, per (p, tau), a count beyond which that is certain, and those elements
-skip the incomplete-beta evaluation without changing a bit of the result.
+skip the incomplete-beta evaluation without changing a bit of the result. The
+counts left between tau and that cutoff are few distinct integers shared by
+many elements, so for a scalar p the kernel evaluates each distinct count of
+the window once in a table and gathers from it, again with the same betainc
+arguments per element and so the same bits.
 """
 
 import math
@@ -120,11 +124,20 @@ def _certain_count(p: float, tau: int) -> float:
 def binomial_tail(counts, p, tau):
     """P(Binomial(K, p) >= tau), vectorized over K and p; 0 where K < tau.
 
-    Counts at or above the Chernoff cutoff of their (p, tau) get 1.0 without
-    calling betainc: their lower tail is below 2**-60, so betainc, which then
-    evaluates the small complement and subtracts it from 1, returns exactly
-    1.0 there too. The result is therefore bit-identical to evaluating every
-    K >= tau through betainc. An array p is screened per distinct value.
+    Counts at or above the Chernoff cutoff K_c of their (p, tau) get 1.0
+    without calling betainc: their lower tail is below 2**-60, so betainc,
+    which then evaluates the small complement and subtracts it from 1, returns
+    exactly 1.0 there too. An array p is screened per distinct value.
+
+    The counts left in the window [tau, K_c) go through betainc. For a scalar
+    p and a finite cutoff, when the window is no wider than the number of
+    elements in it and all of them are integers, betainc is evaluated once per
+    window count, table[j] = I_p(tau, j + 1) for j = 0 .. K_c - tau - 1, and
+    each element reads table[K - tau]. Integer K and tau below 2**53 make
+    K - tau + 1 exact in double precision, so every element gets the very
+    arguments it would get on its own, and the table is never longer than the
+    per-element arrays it replaces. Either way the result is bit-identical to
+    evaluating every K >= tau through betainc.
     """
     K = np.asarray(counts, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -137,8 +150,15 @@ def binomial_tail(counts, p, tau):
         p = np.broadcast_to(p, K.shape)
     out = np.asarray(K >= cutoff, dtype=float)
     m = (K >= tau) & (K < cutoff)
+    window = K[m] - tau
     # regularized incomplete beta: P(Binom(K,p) >= tau) = I_p(tau, K - tau + 1)
-    out[m] = betainc(float(tau), K[m] - tau + 1.0, p[m] if p.ndim else p)
+    if p.ndim == 0 and cutoff - tau <= window.size:
+        index = window.astype(np.intp)
+        if np.array_equal(index, window):
+            table = betainc(float(tau), np.arange(int(cutoff - tau)) + 1.0, p)
+            out[m] = table[index]
+            return out
+    out[m] = betainc(float(tau), window + 1.0, p[m] if p.ndim else p)
     return out
 
 
@@ -252,8 +272,12 @@ def calibrate_tau(
 
     The FNR estimate beta_bar(tau) = mean of 1 - P(positive | V) over `draws`
     infected viral loads is computed on one common set of draws for every tau
-    candidate, making the curve monotone in the realized sample so a binary
-    search is exact and the result deterministic given the rng seed.
+    candidate, making the curve monotone in the realized sample, so the search
+    is exact and the result deterministic given the rng seed. The search
+    probes tau = 1, then gallops through tau = 2, 4, 8, ... up to _TAU_MAX
+    until beta_bar reaches the target, then bisects the last doubling. Small
+    tau, where the tail window is narrow, are probed first; by monotonicity
+    the smallest tau found is the one a bisection of [1, _TAU_MAX] finds.
     """
     if not 0 < target_beta_bar <= 0.5:
         raise ValueError("target_beta_bar must be in (0, 0.5]")
@@ -271,11 +295,13 @@ def calibrate_tau(
     def beta_bar(tau):
         return 1.0 - binomial_tail(K, p, tau).mean()
 
-    lo, hi = 1, _TAU_MAX
-    if beta_bar(hi) < target_beta_bar:
-        raise ValueError(f"target FNR {target_beta_bar} unreachable with tau <= {_TAU_MAX}")
-    if beta_bar(lo) >= target_beta_bar:
-        return lo
+    if beta_bar(1) >= target_beta_bar:
+        return 1
+    lo, hi = 1, 2
+    while beta_bar(hi) < target_beta_bar:
+        if hi == _TAU_MAX:
+            raise ValueError(f"target FNR {target_beta_bar} unreachable with tau <= {_TAU_MAX}")
+        lo, hi = hi, min(2 * hi, _TAU_MAX)
     # invariant: beta_bar(lo) < target <= beta_bar(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

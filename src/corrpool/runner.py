@@ -81,10 +81,14 @@ class ScenarioConfig:
             raise ConfigError(f"pad_last_pool must be true or false, got {self.pad_last_pool!r}")
         if self.tau is None and self.beta_bar is None:
             raise ConfigError("either tau or beta_bar must be given")
-        if self.tau is not None and (self.tau != int(self.tau) or self.tau < 1):
-            raise ConfigError("tau must be a positive integer")
+        if self.tau is not None and (
+            isinstance(self.tau, bool) or self.tau != int(self.tau) or self.tau < 1
+        ):
+            raise ConfigError(f"tau must be a positive integer, got {self.tau!r}")
         if self.beta_bar is not None and not 0 < self.beta_bar <= 0.5:
             raise ConfigError("beta_bar must be in (0, 0.5]")
+        if not isinstance(self.strategies, (list, tuple)):
+            raise ConfigError(f"strategies must be a list of strategy names, got {self.strategies!r}")
         for s in self.strategies:
             if s not in _STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}")
@@ -101,7 +105,7 @@ class ScenarioConfig:
         kwargs = dict(data)
         if "household_dist" in kwargs and isinstance(kwargs["household_dist"], list):
             kwargs["household_dist"] = tuple(kwargs["household_dist"])
-        if "strategies" in kwargs:
+        if isinstance(kwargs.get("strategies"), list):
             kwargs["strategies"] = tuple(kwargs["strategies"])
         try:
             if isinstance(kwargs.get("gmm"), dict):

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import betainc
 
+import corrpool.pcr
 from corrpool.pcr import (
     PcrParams,
     _certain_count,
@@ -17,7 +18,7 @@ from corrpool.pcr import (
     StepSensitivity,
     calibrate_tau,
 )
-from corrpool.viral import DEFAULT_GMM, sample_viral_load
+from corrpool.viral import DEFAULT_GMM, GmmParams, sample_viral_load
 
 
 def test_zero_loads_always_negative():
@@ -184,6 +185,78 @@ def test_calibrate_tau_matches_unscreened_kernel(seed, beta_bar, expected_tau):
     # expected values were calibrated with every tail evaluated through betainc
     rng = np.random.default_rng(seed)
     assert calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), rng) == expected_tau
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_binomial_tail_table_switch_point(monkeypatch, extra):
+    # the window [tau, K_c) holds width - 1, width or width + 1 elements; the
+    # table (one betainc call of the window's width) takes over from width on
+    p, tau = float(PcrParams().capture_probability(6)), 174
+    cutoff = int(_certain_count(p, tau))
+    width = cutoff - tau
+    window = np.arange(tau, cutoff, dtype=float)
+    window = window[1:] if extra < 0 else np.concatenate([window, window[: extra]])
+    counts = np.concatenate([[0.0, tau - 1.0, cutoff, 1e9], window[::-1]])
+    sizes = []
+
+    def counting_betainc(a, b, x):
+        sizes.append(np.size(b))
+        return betainc(a, b, x)
+
+    monkeypatch.setattr(corrpool.pcr, "betainc", counting_betainc)
+    got = binomial_tail(counts, p, tau)
+    assert sizes == [width + extra if extra < 0 else width]
+    assert np.array_equal(got, _betainc_tail(counts, p, tau))
+
+
+def test_binomial_tail_bit_identical_at_the_edges():
+    p, tau = float(PcrParams().capture_probability(1)), 174
+    cutoff = _certain_count(p, tau)
+    # an infinite cutoff (p = 1) and non-integer counts take the per-element path
+    sure = PcrParams(binding_efficiency=1.0, subsample_volume_ul=1000.0).capture_probability(1)
+    assert sure == 1.0
+    for counts, q in [
+        (np.arange(0.0, 400.0), sure),
+        (np.arange(tau, cutoff) + 0.5, p),
+        (np.array([]), p),
+        (np.float64(tau + 30), p),
+        (np.float64(cutoff), p),
+        (np.float64(3.0), p),
+    ]:
+        got = binomial_tail(counts, q, tau)
+        assert got.shape == np.shape(counts)
+        assert np.array_equal(got, _betainc_tail(counts, q, tau))
+
+
+@pytest.mark.parametrize(
+    "seed, expected", [(0, [108, 176, 343, 1234]), (1, [109, 175, 343, 1241]), (2, [109, 174, 341, 1236])]
+)
+def test_calibrate_tau_on_the_runner_stream(seed, expected):
+    # the runner seeds calibration with SeedSequence((master_seed, 3)); the
+    # expected values were recorded with a bisection of [1, 10**7]
+    taus = [
+        calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), np.random.default_rng(np.random.SeedSequence((seed, 3))))
+        for beta_bar in (0.025, 0.05, 0.1, 0.2)
+    ]
+    assert taus == expected
+
+
+def test_calibrate_tau_bracket_ends(monkeypatch):
+    # nearly every load rounds to zero copies: already tau = 1 misses the target
+    assert calibrate_tau(0.05, GmmParams((1.0,), (-3.0,), (0.1,)), draws=10**5) == 1
+    # every load holds ~10**12 copies: no tau up to the search limit misses enough
+    with pytest.raises(ValueError, match="unreachable"):
+        calibrate_tau(0.05, GmmParams((1.0,), (12.0,), (0.1,)), draws=10**5)
+    probed = []
+    tail = corrpool.pcr.binomial_tail
+
+    def recording_tail(counts, p, tau):
+        probed.append(tau)
+        return tail(counts, p, tau)
+
+    monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
+    tau = calibrate_tau(0.05, DEFAULT_GMM, draws=10**5)
+    assert probed[0] == 1 and max(probed) <= 2 * tau
 
 
 def test_calibrate_tau_rejects_bad_target():

@@ -53,6 +53,8 @@ def test_config_validates_ranges():
         ScenarioConfig(household_dist="ATLANTIS")
     with pytest.raises(ConfigError):
         ScenarioConfig(sensitivity_variant={"variant": "step"})  # missing u0
+    with pytest.raises(ConfigError, match="list of strategy names"):
+        ScenarioConfig.from_dict({"strategies": "naive"})
 
 
 MALFORMED_CONFIGS = {
@@ -64,6 +66,8 @@ MALFORMED_CONFIGS = {
     "population_size": ("population_size", 100.5),
     "master_seed": ("master_seed", True),
     "pad_last_pool": ("pad_last_pool", "no"),
+    "tau_bool": ("tau", True),
+    "strategies_string": ("strategies", "naive"),
 }
 
 
