@@ -275,7 +275,10 @@ def calibrate_tau(
     candidate, making the curve monotone in the realized sample, so the search
     is exact and the result deterministic given the rng seed. The search
     probes tau = 1, then gallops through tau = 2, 4, 8, ... up to _TAU_MAX
-    until beta_bar reaches the target, then bisects the last doubling. Small
+    until beta_bar reaches the target, then narrows the last doubling by
+    safeguarded interpolation: the next probe is the ceiling of the linear
+    guess between the bracket ends, clamped inside the bracket, and a probe
+    that fails to halve the bracket is followed by a bisection step. Small
     tau, where the tail window is narrow, are probed first; by monotonicity
     the smallest tau found is the one a bisection of [1, _TAU_MAX] finds.
     """
@@ -295,18 +298,29 @@ def calibrate_tau(
     def beta_bar(tau):
         return 1.0 - binomial_tail(K, p, tau).mean()
 
-    if beta_bar(1) >= target_beta_bar:
+    lo, b_lo = 1, beta_bar(1)
+    if b_lo >= target_beta_bar:
         return 1
-    lo, hi = 1, 2
-    while beta_bar(hi) < target_beta_bar:
+    hi, b_hi = 2, beta_bar(2)
+    while b_hi < target_beta_bar:
         if hi == _TAU_MAX:
             raise ValueError(f"target FNR {target_beta_bar} unreachable with tau <= {_TAU_MAX}")
-        lo, hi = hi, min(2 * hi, _TAU_MAX)
-    # invariant: beta_bar(lo) < target <= beta_bar(hi)
+        lo, b_lo = hi, b_hi
+        hi = min(2 * hi, _TAU_MAX)
+        b_hi = beta_bar(hi)
+    # invariant: b_lo = beta_bar(lo) < target <= beta_bar(hi) = b_hi
+    bisect = False
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if beta_bar(mid) >= target_beta_bar:
-            hi = mid
+        width = hi - lo
+        if bisect:
+            mid = (lo + hi) // 2
         else:
-            lo = mid
+            guess = lo + (target_beta_bar - b_lo) * width / (b_hi - b_lo)
+            mid = min(max(math.ceil(guess), lo + 1), hi - 1)
+        b_mid = beta_bar(mid)
+        if b_mid >= target_beta_bar:
+            hi, b_hi = mid, b_mid
+        else:
+            lo, b_lo = mid, b_mid
+        bisect = not bisect and 2 * (hi - lo) > width
     return hi

@@ -7,9 +7,12 @@ replications are scheduled across workers; both strategies of a replication
 share one population draw, making cross-strategy comparisons paired.
 
 simulate, sweep and optimize share one cell loop, run_cells, which resolves
-tau once and runs each (alpha, pool size) cell at it. A malformed config,
-including its sensitivity variant and integer and boolean fields, fails in
-ScenarioConfig, before any tau calibration.
+tau once and runs every (alpha, pool size) cell at it. The cells share one
+worker pool per command: each task is one replication of every cell, in cell
+order, and each cell keeps its own (master_seed, r, tag) streams, so the
+results split back per cell are those of the cell run on its own. A malformed
+config, including its sensitivity variant and integer and boolean fields, and
+an infeasible cell fail before any tau calibration.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import ConfigError
 from .metrics import ReplicationSummary, estimate_fpr, summarize_replications
 from .pcr import PcrParams, PiecewiseSensitivity, RealisticSensitivity, StepSensitivity, calibrate_tau
 from .pooling import assign_correlated, assign_naive
-from .population import HOUSEHOLD_DISTS, HouseholdDist, generate_population
+from .population import HOUSEHOLD_DISTS, HouseholdDist, generate_population, household_infection_prob
 from .viral import DEFAULT_GMM, GmmParams
 
 WORKERS_ENV = "CORRPOOL_WORKERS"
@@ -174,7 +177,7 @@ class StrategyTallies:
         return summarize_replications(self.S, self.D, self.pooled, self.followup, N)
 
 
-def _replication_tallies(config: ScenarioConfig, tau: int, rep: int) -> dict[str, tuple]:
+def _cell_tallies(config: ScenarioConfig, tau: int, rep: int) -> dict[str, tuple]:
     """Run one replication of every configured strategy on a shared population."""
     dist = config.resolve_dist()
     sensitivity = config.resolve_sensitivity(tau)
@@ -203,6 +206,11 @@ def _replication_tallies(config: ScenarioConfig, tau: int, rep: int) -> dict[str
     return out
 
 
+def _replication_tallies(configs: list[ScenarioConfig], tau: int, rep: int) -> list[dict[str, tuple]]:
+    """Replication rep of every cell, in cell order."""
+    return [_cell_tallies(config, tau, rep) for config in configs]
+
+
 def worker_count() -> int:
     """Worker processes from CORRPOOL_WORKERS: default 1, values below 1 mean 1."""
     value = os.environ.get(WORKERS_ENV, "1")
@@ -212,15 +220,17 @@ def worker_count() -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
 
 
-def run_replications(config: ScenarioConfig, tau: int) -> dict[str, StrategyTallies]:
-    """Run all replications at threshold tau, in parallel when CORRPOOL_WORKERS > 1.
+def run_replications(configs: list[ScenarioConfig], tau: int) -> list[dict[str, StrategyTallies]]:
+    """Run all replications of every cell at threshold tau, one tallies dict per cell.
 
-    Results come back in replication order, so output is identical for any
-    worker count.
+    The cells share one replication count. With CORRPOOL_WORKERS > 1 one
+    process pool runs them, a task being one replication of every cell.
+    Results come back in replication order and are split per cell, so output
+    is identical for any worker count.
     """
     workers = worker_count()
-    one = partial(_replication_tallies, config, tau)
-    reps = range(config.replications)
+    one = partial(_replication_tallies, configs, tau)
+    reps = range(configs[0].replications)
     if workers == 1 or len(reps) < 2 * workers:
         rows = list(map(one, reps))
     else:
@@ -228,26 +238,30 @@ def run_replications(config: ScenarioConfig, tau: int) -> dict[str, StrategyTall
             rows = list(pool.map(one, reps, chunksize=math.ceil(len(reps) / workers)))
 
     # columns S, D, pooled, followup
-    return {
-        strategy: StrategyTallies(*np.array([row[strategy] for row in rows], dtype=np.int64).T)
-        for strategy in config.strategies
-    }
+    return [
+        {
+            strategy: StrategyTallies(*np.array([row[c][strategy] for row in rows], dtype=np.int64).T)
+            for strategy in config.strategies
+        }
+        for c, config in enumerate(configs)
+    ]
 
 
 def run_cells(config: ScenarioConfig, cells) -> tuple[int, list[dict[str, StrategyTallies]]]:
     """Run every (alpha, pool size) cell at one tau, which depends on neither.
 
-    The worker count is read first, so a malformed CORRPOOL_WORKERS fails
-    before tau calibration.
+    Every cell's config, its household infection probability and the worker
+    count are checked first, so a bad cell or a malformed CORRPOOL_WORKERS
+    fails before tau calibration.
     """
-    cells = list(cells)
-    if not cells:
+    configs = [replace(config, alpha=alpha, pool_size=n) for alpha, n in cells]
+    if not configs:
         raise ConfigError("no (alpha, pool size) cells to run")
+    for cell in configs:
+        household_infection_prob(cell.alpha, cell.q, cell.resolve_dist())
     worker_count()
     tau = config.resolve_tau()
-    return tau, [
-        run_replications(replace(config, alpha=alpha, pool_size=n), tau) for alpha, n in cells
-    ]
+    return tau, run_replications(configs, tau)
 
 
 @dataclass

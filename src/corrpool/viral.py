@@ -70,7 +70,8 @@ def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size=No
     """Draw log10 viral loads for infected individuals from the mixture."""
     w, mu, sd = params.as_arrays()
     comp = rng.choice(len(w), size=size, p=w)
-    return rng.normal(mu[comp], sd[comp])
+    # the same bits and stream position as rng.normal(mu[comp], sd[comp]), faster
+    return mu[comp] + sd[comp] * rng.standard_normal(comp.shape)
 
 
 def sample_viral_load(params: GmmParams, rng: np.random.Generator, size=None):

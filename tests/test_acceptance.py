@@ -6,7 +6,6 @@ fixtures. Statistical claims use one-sided 95% normal bounds over paired
 replications (both strategies of a replication share one population draw).
 """
 
-import os
 from dataclasses import astuple
 
 import numpy as np
@@ -46,7 +45,8 @@ def _run(alpha, pool_size, tau, replications, seed, variant=None):
     if variant is not None:
         kwargs["sensitivity_variant"] = variant
     cfg = ScenarioConfig(**kwargs)
-    return cfg, run_replications(cfg, tau)
+    (tallies,) = run_replications([cfg], tau)
+    return cfg, tallies
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +219,7 @@ def test_criterion_7_theorem_property_tests(tau_by_target, baseline, delta_prime
     )
 
 
-def test_criterion_8_structural_invariants(tmp_path):
+def test_criterion_8_structural_invariants(tmp_path, monkeypatch):
     # partition validity on 1e3 randomized instances
     rng = np.random.default_rng(41)
     for _ in range(1000):
@@ -248,14 +248,11 @@ def test_criterion_8_structural_invariants(tmp_path):
     # byte-identical outputs for any worker count
     blobs = {}
     for workers in ("1", "2", "4"):
-        os.environ[WORKERS_ENV] = workers
-        try:
-            result = run_scenario(
-                ScenarioConfig(**dict(BASE, alpha=0.05, pool_size=6, tau=174, beta_bar=None,
-                                      population_size=1200, replications=40, master_seed=47))
-            )
-        finally:
-            os.environ.pop(WORKERS_ENV, None)
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        result = run_scenario(
+            ScenarioConfig(**dict(BASE, alpha=0.05, pool_size=6, tau=174, beta_bar=None,
+                                  population_size=1200, replications=40, master_seed=47))
+        )
         jpath = tmp_path / f"w{workers}.json"
         cpath = tmp_path / f"w{workers}.csv"
         write_summary_json(result.summary_dict(), str(jpath))

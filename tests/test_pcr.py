@@ -178,6 +178,31 @@ def test_binomial_tail_bit_identical_for_per_pool_p(gmm_counts):
     assert np.array_equal(got, _betainc_tail(totals, p, 174))
 
 
+def _bisection_tau(beta_bar, rng):
+    """Reference search: gallop tau = 1, 2, 4, ... to a bracket of the target,
+    then bisect it. Returns the tau and the number of tau probed."""
+    K = np.rint(sample_viral_load(DEFAULT_GMM, rng, size=10**6))
+    p = float(PcrParams().capture_probability(1))
+    probed = []
+
+    def reaches_target(tau):
+        probed.append(tau)
+        return 1.0 - binomial_tail(K, p, tau).mean() >= beta_bar
+
+    if reaches_target(1):
+        return 1, len(probed)
+    lo, hi = 1, 2
+    while not reaches_target(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches_target(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, len(probed)
+
+
 @pytest.mark.parametrize(
     "seed, beta_bar, expected_tau", [(0, 0.025, 108), (1, 0.2, 1241), (2, 0.1, 341), (3, 0.05, 175)]
 )
@@ -185,6 +210,7 @@ def test_calibrate_tau_matches_unscreened_kernel(seed, beta_bar, expected_tau):
     # expected values were calibrated with every tail evaluated through betainc
     rng = np.random.default_rng(seed)
     assert calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), rng) == expected_tau
+    assert _bisection_tau(beta_bar, np.random.default_rng(seed))[0] == expected_tau
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -234,11 +260,31 @@ def test_binomial_tail_bit_identical_at_the_edges():
 def test_calibrate_tau_on_the_runner_stream(seed, expected):
     # the runner seeds calibration with SeedSequence((master_seed, 3)); the
     # expected values were recorded with a bisection of [1, 10**7]
-    taus = [
-        calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), np.random.default_rng(np.random.SeedSequence((seed, 3))))
-        for beta_bar in (0.025, 0.05, 0.1, 0.2)
-    ]
-    assert taus == expected
+    def stream():
+        return np.random.default_rng(np.random.SeedSequence((seed, 3)))
+
+    betas = (0.025, 0.05, 0.1, 0.2)
+    assert [calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), stream()) for beta_bar in betas] == expected
+    assert [_bisection_tau(beta_bar, stream())[0] for beta_bar in betas] == expected
+
+
+def test_calibrate_tau_probes_fewer_tau_than_bisection(monkeypatch):
+    # interpolating on the probed beta_bar values needs fewer probes than
+    # bisecting the galloped bracket, for the same tau
+    probed = []
+    tail = corrpool.pcr.binomial_tail
+
+    def recording_tail(counts, p, tau):
+        probed.append(tau)
+        return tail(counts, p, tau)
+
+    monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
+    tau = calibrate_tau(0.05, DEFAULT_GMM, PcrParams(), np.random.default_rng(np.random.SeedSequence((0, 3))))
+    monkeypatch.undo()
+    reference, reference_probes = _bisection_tau(0.05, np.random.default_rng(np.random.SeedSequence((0, 3))))
+    assert tau == reference == 176
+    assert reference_probes == 16
+    assert len(probed) < reference_probes
 
 
 def test_calibrate_tau_bracket_ends(monkeypatch):

@@ -101,22 +101,46 @@ def test_run_scenario_deterministic():
 
 
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
+    # 31 and 501 replications split evenly over none of the worker counts, and
+    # pool sizes 2 and 40 make cells of unequal cost
+    config = ScenarioConfig(**{**SMALL, "replications": 31})
     artifacts = {}
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         monkeypatch.setenv(WORKERS_ENV, workers)
+        result = run_scenario(config)
         simulate = tmp_path / f"summary_{workers}.json"
-        write_summary_json(run_scenario(ScenarioConfig(**SMALL)).summary_dict(), str(simulate))
+        write_summary_json(result.summary_dict(), str(simulate))
+        reps = tmp_path / f"reps_{workers}.csv"
+        write_csv(replication_rows(result.config_echo, result.tallies), str(reps))
         sweep = tmp_path / f"sweep_{workers}.csv"
-        write_csv(run_sweep(ScenarioConfig(**SMALL), [0.02, 0.05], [3, 6]), str(sweep))
+        write_csv(run_sweep(config, [0.02, 0.05], [2, 40]), str(sweep))
         optimize = tmp_path / f"optimize_{workers}.json"
         argv = [
             "optimize", "--alpha", "0.05", "--tau", "174", "--population-size", "60",
-            "--replications", "500", "--seed", "4", "--candidates", "3,6",
+            "--replications", "501", "--seed", "4", "--candidates", "2,40",
             "--output-json", str(optimize),
         ]
         assert main(argv) == 0
-        artifacts[workers] = [p.read_bytes() for p in (simulate, sweep, optimize)]
-    assert artifacts["1"] == artifacts["2"]
+        artifacts[workers] = [p.read_bytes() for p in (simulate, reps, sweep, optimize)]
+    assert artifacts["1"] == artifacts["2"] == artifacts["3"]
+
+
+@pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 1)])
+def test_one_worker_pool_per_command(monkeypatch, workers, pools):
+    created = []
+
+    class CountingPool(corrpool.runner.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(corrpool.runner, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    assert len(run_sweep(ScenarioConfig(**SMALL), [0.02, 0.05], [3, 6])) == 2 * 2 * 2
+    assert len(created) == pools
+    config = ScenarioConfig(**{**SMALL, "population_size": 60, "replications": 500})
+    assert set(optimize_pool_size(config, [3, 6, 9])) == {"naive", "correlated"}
+    assert len(created) == 2 * pools
 
 
 def test_no_infection_scenario_flags_undefined_sensitivity():
@@ -330,6 +354,25 @@ def test_cli_malformed_workers_env_fails_before_tau_calibration(monkeypatch, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"configuration error: {WORKERS_ENV} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--alphas", "0.01,1.5", "--pool-sizes", "6", "--output", os.devnull], 2),
+        (["sweep", "--alphas", "0.01,0.9", "--pool-sizes", "6", "--output", os.devnull], 3),
+        (["optimize", "--candidates", "6,0", "--replications", "500"], 2),
+        (["optimize", "--alpha", "0.9", "--candidates", "4,6", "--replications", "500"], 3),
+        (["simulate", "--alpha", "0.9"], 3),
+    ],
+    ids=["sweep_alpha", "sweep_infeasible", "optimize_pool_size", "optimize_infeasible", "simulate_infeasible"],
+)
+def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
+    def never_calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_tau called before every cell was checked")
+
+    monkeypatch.setattr(corrpool.runner, "calibrate_tau", never_calibrate)
+    assert main(argv + ["--beta-bar", "0.05", "--population-size", "60"]) == code
 
 
 def test_cli_exit_code_infeasible():

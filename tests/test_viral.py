@@ -1,5 +1,7 @@
 """Tests for the viral-load mixture model and Ct conversion."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,21 @@ def test_degenerate_single_component_draws():
     rng = np.random.default_rng(1)
     draws = sample_log10_viral_load(params, rng, size=1000)
     assert np.allclose(draws, 5.0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "params", [DEFAULT_GMM, GmmParams((1.0,), (5.0,), (0.7,))], ids=["default", "one_component"]
+)
+def test_draws_equal_normal_with_per_draw_parameters(params):
+    # the sampler scales standard normals itself; rng.normal(mu[comp], sd[comp])
+    # on a copy of the generator is the reference, bits and stream position
+    rng = np.random.default_rng(6)
+    ref = copy.deepcopy(rng)
+    draws = sample_log10_viral_load(params, rng, size=10**5)
+    w, mu, sd = params.as_arrays()
+    comp = ref.choice(len(w), size=10**5, p=w)
+    assert np.array_equal(draws, ref.normal(mu[comp], sd[comp]))
+    assert rng.random() == ref.random()
 
 
 @pytest.fixture(scope="module")
