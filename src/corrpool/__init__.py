@@ -11,7 +11,6 @@ SIR screening-policy layer.
 from .errors import ConfigError, InfeasibleScenarioError
 from .viral import GmmParams, DEFAULT_GMM, ct_to_log10_viral_load
 from .pcr import (
-    PcrParams,
     RealisticSensitivity,
     StepSensitivity,
     PiecewiseSensitivity,
@@ -46,7 +45,6 @@ __all__ = [
     "GmmParams",
     "DEFAULT_GMM",
     "ct_to_log10_viral_load",
-    "PcrParams",
     "RealisticSensitivity",
     "StepSensitivity",
     "PiecewiseSensitivity",

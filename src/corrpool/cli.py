@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .errors import ConfigError, InfeasibleScenarioError
-from .pcr import PcrParams, calibrate_tau
+from .pcr import calibrate_tau, check_calibration
 from .runner import (
     ScenarioConfig,
     format_number,
@@ -32,7 +32,7 @@ from .sir import (
     optimize_pool_size,
     simulate_sir,
 )
-from .theory import counterexample_enumerate, estimate_delta_prime
+from .theory import check_delta_prime, counterexample_enumerate, estimate_delta_prime
 from .viral import DEFAULT_GMM
 
 _DELTA_TABLE_NS = (2, 4, 6, 12)
@@ -114,10 +114,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     targets = _parse_floats(args.beta_bar)
+    for target in targets:
+        check_calibration(target, args.draws)
     rng = np.random.default_rng(args.seed)
     rows = []
     for target in targets:
-        tau = calibrate_tau(target, DEFAULT_GMM, PcrParams(), rng, draws=args.draws)
+        tau = calibrate_tau(target, DEFAULT_GMM, rng, draws=args.draws)
         rows.append({"target_beta_bar": target, "tau": tau})
         print(f"beta_bar={format_number(target)} -> tau={tau}")
     if args.output:
@@ -126,19 +128,22 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_delta_bound(args) -> int:
-    rng = np.random.default_rng(args.seed)
     cells = (
         [(n, b) for n in _DELTA_TABLE_NS for b in _DELTA_TABLE_BETAS]
         if args.full_table
         else [(args.n, args.beta_bar)]
     )
+    for n, beta_bar in cells:
+        check_calibration(beta_bar)
+        check_delta_prime(n, args.b, args.bootstrap_reps)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for n, beta_bar in cells:
-        tau = calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), rng)
+        tau = calibrate_tau(beta_bar, DEFAULT_GMM, rng)
         est = estimate_delta_prime(
             n,
             beta_bar,
-            PcrParams(tau=tau),
+            tau,
             DEFAULT_GMM,
             B=args.b,
             bootstrap_reps=args.bootstrap_reps,

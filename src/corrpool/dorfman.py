@@ -30,8 +30,6 @@ class ProtocolOutcome:
     individual_positive_count: np.ndarray
     detected: np.ndarray
     followup_tests: np.ndarray
-    N: int
-    n: int
 
     @property
     def pooled_tests(self) -> int:
@@ -48,10 +46,6 @@ class ProtocolOutcome:
     @property
     def total_followup(self) -> int:
         return int(self.followup_tests.sum())
-
-    @property
-    def total_tests(self) -> int:
-        return self.pooled_tests + self.total_followup
 
 
 def run_dorfman(
@@ -101,6 +95,4 @@ def run_dorfman(
         individual_positive_count=individual_positive_count,
         detected=detected,
         followup_tests=followup,
-        N=V.size,
-        n=n,
     )

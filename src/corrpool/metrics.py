@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Probability that an individual test on a negative person misfires.
+_PER_TEST_FPR = 1e-4
+
 
 @dataclass
 class ReplicationSummary:
@@ -70,21 +73,16 @@ def summarize_replications(S, D, pooled, followup, N) -> ReplicationSummary:
     )
 
 
-def estimate_fpr(
-    sensitivity: float,
-    efficiency: float,
-    n: int,
-    alpha: float,
-    per_test_fpr: float = 1e-4,
-) -> float:
+def estimate_fpr(sensitivity: float, efficiency: float, n: int, alpha: float) -> float:
     """Estimated fraction of negative persons falsely declared positive.
 
     A negative person is falsely declared positive only if they receive an
-    individual follow-up test and it misfires. The fraction of persons tested
-    individually is 1/efficiency - 1/n; subtracting the (true-positive)
-    fraction alpha * sensitivity leaves the negatives tested individually,
-    floored at 0 against sampling noise.
+    individual follow-up test and it misfires, which it does with probability
+    _PER_TEST_FPR. The fraction of persons tested individually is
+    1/efficiency - 1/n; subtracting the (true-positive) fraction
+    alpha * sensitivity leaves the negatives tested individually, floored at 0
+    against sampling noise.
     """
     frac_indiv = 1.0 / efficiency - 1.0 / n
     frac_neg_indiv = max(frac_indiv - alpha * sensitivity, 0.0)
-    return per_test_fpr * frac_neg_indiv / (1.0 - alpha)
+    return _PER_TEST_FPR * frac_neg_indiv / (1.0 - alpha)

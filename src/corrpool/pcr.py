@@ -6,12 +6,14 @@ that a test on pool_size samples with summed load total_load is positive, and
 draw(total_load, pool_size, rng), which samples those outcomes:
 
 - realistic: a physical chain where the machine counts template copies from a
-  subsample. The pooled sample holds K = round(sample_volume * sum of member
-  loads) copies; each copy independently makes it into the amplified subsample
-  with probability p = binding_efficiency * subsample_volume / sample_volume
-  (the subsample shrinks to 1/pool_size of its individual-test volume, which is
-  how dilution enters); the test is positive iff the count reaches the
-  detection threshold tau.
+  subsample. Each person gives a 1 mL sample, so the pooled sample holds
+  K = round(sum of member loads) copies (loads are in copies/mL). An individual
+  test amplifies a 100 uL subsample with binding efficiency 0.5, so each copy
+  independently makes it into the amplified subsample with probability
+  0.5 * 100 uL / 1000 uL = 0.05; a pool of n subsamples 1/n of that volume,
+  which is how dilution enters, and capture_probability(n) = 0.05 / n. The
+  test is positive iff the count reaches the detection threshold tau, the
+  model's only parameter.
 - step: deterministic threshold on viral load, p(v) = 1{v >= u0}.
 - piecewise: a piecewise-constant function used by the exact counterexample
   analysis: 0 at v=0, theta1 on (0,2), theta2 on [2,3), 1 on [3,inf).
@@ -50,34 +52,14 @@ _EXACT_MEAN_COUNT = 1e4
 _TAU_MAX = 10**7
 
 
-@dataclass(frozen=True)
-class PcrParams:
-    """Physical parameters of the realistic PCR chain.
+# Per-copy capture probability of an individual test: binding efficiency 0.5
+# times the 100 uL subsample's share of the 1 mL sample.
+_CAPTURE = 0.5 * 100.0 / 1000.0
 
-    Volumes: sample_volume_ml is per-person sample volume in mL;
-    subsample_volume_ul is the amplified subsample in microliters for an
-    individual test (a pool of size n subsamples subsample_volume_ul / n).
-    """
 
-    sample_volume_ml: float = 1.0
-    subsample_volume_ul: float = 100.0
-    binding_efficiency: float = 0.5
-    tau: int = 175
-
-    def __post_init__(self):
-        if self.sample_volume_ml <= 0:
-            raise ValueError("sample_volume_ml must be positive")
-        if not 0 < self.subsample_volume_ul <= 1000.0 * self.sample_volume_ml:
-            raise ValueError("subsample volume must be positive and at most the sample volume")
-        if not 0 < self.binding_efficiency <= 1:
-            raise ValueError("binding_efficiency must be in (0, 1]")
-        if self.tau != int(self.tau) or self.tau < 1:
-            raise ValueError("tau must be a positive integer")
-
-    def capture_probability(self, pool_size=1):
-        """Per-copy probability of entering the amplified subsample of a pooled test."""
-        base = self.binding_efficiency * self.subsample_volume_ul / (1000.0 * self.sample_volume_ml)
-        return base / np.asarray(pool_size, dtype=float)
+def capture_probability(pool_size=1):
+    """Per-copy probability of entering the amplified subsample of a pooled test."""
+    return _CAPTURE / np.asarray(pool_size, dtype=float)
 
 
 # A lower tail P(Binomial(K, p) < tau) of at most 2**-60 is 1/128 of the gap
@@ -169,7 +151,7 @@ def _loads(total_load) -> np.ndarray:
     return total_load
 
 
-def draw_positive(total_load, pool_size, params: PcrParams, rng: np.random.Generator):
+def draw_positive(total_load, pool_size, tau: int, rng: np.random.Generator):
     """Sample pooled-test outcomes for an array of total loads.
 
     Counts with mean K*p up to 1e4 are drawn from the exact binomial; larger
@@ -177,30 +159,35 @@ def draw_positive(total_load, pool_size, params: PcrParams, rng: np.random.Gener
     exceeds 1 - 1e-12 are declared positive outright.
     """
     total_load = np.atleast_1d(_loads(total_load))
-    K = np.rint(total_load * params.sample_volume_ml)
-    p = np.broadcast_to(np.asarray(params.capture_probability(pool_size)), K.shape)
-    tail = binomial_tail(K, p, params.tau)
+    K = np.rint(total_load)
+    p = np.broadcast_to(capture_probability(pool_size), K.shape)
+    tail = binomial_tail(K, p, tau)
 
     out = tail > _SURE_POSITIVE
     mean_count = K * p
-    undecided = ~out & (K >= params.tau)
+    undecided = ~out & (K >= tau)
     small = undecided & (mean_count <= _EXACT_MEAN_COUNT)
     if np.any(small):
         m = rng.binomial(K[small].astype(np.int64), p[small])
-        out[small] = m >= params.tau
+        out[small] = m >= tau
     large = undecided & (mean_count > _EXACT_MEAN_COUNT)
     if np.any(large):
         m = rng.poisson(mean_count[large])
-        out[large] = m >= params.tau
+        out[large] = m >= tau
     return out
 
 
 @dataclass(frozen=True)
 class RealisticSensitivity:
-    """Realistic binomial-subsampling sensitivity; dilution emerges from the
-    shrinking subsample volume, so pooled tests pass the raw total load."""
+    """Realistic binomial-subsampling sensitivity at detection threshold tau;
+    dilution emerges from the shrinking subsample volume, so pooled tests pass
+    the raw total load."""
 
-    params: PcrParams = PcrParams()
+    tau: int
+
+    def __post_init__(self):
+        if isinstance(self.tau, bool) or self.tau != int(self.tau) or self.tau < 1:
+            raise ValueError(f"tau must be a positive integer, got {self.tau!r}")
 
     def success_probability(self, total_load, pool_size=1):
         """Analytic probability that a test on the given total load is positive.
@@ -208,12 +195,11 @@ class RealisticSensitivity:
         total_load is the sum of member viral loads in copies/mL; pool_size may
         be a scalar or an array matched to total_load.
         """
-        K = np.rint(_loads(total_load) * self.params.sample_volume_ml)
-        out = binomial_tail(K, self.params.capture_probability(pool_size), self.params.tau)
+        out = binomial_tail(np.rint(_loads(total_load)), capture_probability(pool_size), self.tau)
         return float(out) if out.ndim == 0 else out
 
     def draw(self, total_load, pool_size, rng):
-        return draw_positive(total_load, pool_size, self.params, rng)
+        return draw_positive(total_load, pool_size, self.tau, rng)
 
 
 class _MeanLoadSensitivity:
@@ -261,11 +247,18 @@ class PiecewiseSensitivity(_MeanLoadSensitivity):
         )
 
 
+def check_calibration(target_beta_bar: float, draws: int = 10**6):
+    """Raise ValueError unless calibrate_tau accepts this target and draw count."""
+    if not 0 < target_beta_bar <= 0.5:
+        raise ValueError(f"target_beta_bar must be in (0, 0.5], got {target_beta_bar!r}")
+    if draws < 10**5:
+        raise ValueError("calibration needs at least 1e5 draws")
+
+
 def calibrate_tau(
     target_beta_bar: float,
     gmm: GmmParams,
-    params: PcrParams | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     draws: int = 10**6,
 ) -> int:
     """Smallest integer tau whose estimated individual-test FNR reaches the target.
@@ -282,18 +275,9 @@ def calibrate_tau(
     tau, where the tail window is narrow, are probed first; by monotonicity
     the smallest tau found is the one a bisection of [1, _TAU_MAX] finds.
     """
-    if not 0 < target_beta_bar <= 0.5:
-        raise ValueError("target_beta_bar must be in (0, 0.5]")
-    if draws < 10**5:
-        raise ValueError("calibration needs at least 1e5 draws")
-    if params is None:
-        params = PcrParams()
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    loads = sample_viral_load(gmm, rng, size=draws)
-    K = np.rint(loads * params.sample_volume_ml)
-    p = float(params.capture_probability(1))
+    check_calibration(target_beta_bar, draws)
+    K = np.rint(sample_viral_load(gmm, rng, size=draws))
+    p = float(capture_probability(1))
 
     def beta_bar(tau):
         return 1.0 - binomial_tail(K, p, tau).mean()

@@ -11,8 +11,8 @@ tau once and runs every (alpha, pool size) cell at it. The cells share one
 worker pool per command: each task is one replication of every cell, in cell
 order, and each cell keeps its own (master_seed, r, tag) streams, so the
 results split back per cell are those of the cell run on its own. A malformed
-config, including its sensitivity variant and integer and boolean fields, and
-an infeasible cell fail before any tau calibration.
+config, including its sensitivity variant, its strategies and its integer and
+boolean fields, and an infeasible cell fail before any tau calibration.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .dorfman import run_dorfman
 from .errors import ConfigError
 from .metrics import ReplicationSummary, estimate_fpr, summarize_replications
-from .pcr import PcrParams, PiecewiseSensitivity, RealisticSensitivity, StepSensitivity, calibrate_tau
+from .pcr import PiecewiseSensitivity, RealisticSensitivity, StepSensitivity, calibrate_tau
 from .pooling import assign_correlated, assign_naive
 from .population import HOUSEHOLD_DISTS, HouseholdDist, generate_population, household_infection_prob
 from .viral import DEFAULT_GMM, GmmParams
@@ -45,6 +45,8 @@ _TAG_STRATEGY = {"naive": 1, "correlated": 2}
 _TAG_CALIBRATION = 3
 
 _STRATEGIES = ("naive", "correlated")
+# the keys each sensitivity variant takes besides "variant"
+_VARIANT_KEYS = {"realistic": (), "step": ("u0",), "piecewise": ("theta1", "theta2")}
 
 
 def _is_int(value) -> bool:
@@ -84,10 +86,11 @@ class ScenarioConfig:
             raise ConfigError(f"pad_last_pool must be true or false, got {self.pad_last_pool!r}")
         if self.tau is None and self.beta_bar is None:
             raise ConfigError("either tau or beta_bar must be given")
-        if self.tau is not None and (
-            isinstance(self.tau, bool) or self.tau != int(self.tau) or self.tau < 1
-        ):
-            raise ConfigError(f"tau must be a positive integer, got {self.tau!r}")
+        if self.tau is not None:
+            try:
+                RealisticSensitivity(self.tau)  # the one check of a threshold, whatever the variant
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from exc
         if self.beta_bar is not None and not 0 < self.beta_bar <= 0.5:
             raise ConfigError("beta_bar must be in (0, 0.5]")
         if not isinstance(self.strategies, (list, tuple)):
@@ -95,6 +98,8 @@ class ScenarioConfig:
         for s in self.strategies:
             if s not in _STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}")
+        if not self.strategies or len(set(self.strategies)) != len(self.strategies):
+            raise ConfigError(f"strategies must be distinct and non-empty, got {list(self.strategies)!r}")
         # validate early; any valid tau will do for the realistic model
         self.resolve_sensitivity(1 if self.tau is None else self.tau)
         self.resolve_dist()
@@ -138,23 +143,27 @@ class ScenarioConfig:
         if self.tau is not None:
             return int(self.tau)
         rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, _TAG_CALIBRATION)))
-        return calibrate_tau(self.beta_bar, self.gmm, PcrParams(), rng)
+        return calibrate_tau(self.beta_bar, self.gmm, rng)
 
     def resolve_sensitivity(self, tau: int):
         """The PCR model named by sensitivity_variant; the only parser of that field."""
         v = self.sensitivity_variant
         if not isinstance(v, dict):
             raise ConfigError(f"sensitivity_variant must be an object, got {v!r}")
+        variant = v.get("variant")
+        if not isinstance(variant, str) or variant not in _VARIANT_KEYS:
+            raise ConfigError("sensitivity_variant.variant must be realistic, step, or piecewise")
+        unknown = set(v) - {"variant", *_VARIANT_KEYS[variant]}
+        if unknown:
+            raise ConfigError(f"unknown sensitivity_variant keys for {variant}: {sorted(unknown)}")
         try:
-            if v["variant"] == "realistic":
-                return RealisticSensitivity(PcrParams(tau=tau))
-            if v["variant"] == "step":
+            if variant == "realistic":
+                return RealisticSensitivity(tau)
+            if variant == "step":
                 return StepSensitivity(float(v["u0"]))
-            if v["variant"] == "piecewise":
-                return PiecewiseSensitivity(float(v["theta1"]), float(v["theta2"]))
+            return PiecewiseSensitivity(float(v["theta1"]), float(v["theta2"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid sensitivity_variant {v!r}: {exc!r}") from exc
-        raise ConfigError("sensitivity_variant.variant must be realistic, step, or piecewise")
 
     def echo(self, tau: int) -> dict:
         """Resolved configuration embedded in every output artifact."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pcr import PcrParams, PiecewiseSensitivity, binomial_tail
+from .pcr import PiecewiseSensitivity, binomial_tail, capture_probability
 from .viral import GmmParams, sample_viral_load
 
 _POOL_SIZE = 2  # the counterexample is built on pools of two
@@ -115,7 +115,7 @@ class DeltaPrimeEstimate:
 
 def _sample_conditional(
     gmm: GmmParams,
-    params: PcrParams,
+    tau: int,
     needed: int,
     keep_missed: bool,
     rng: np.random.Generator,
@@ -123,14 +123,14 @@ def _sample_conditional(
 ):
     """Viral loads conditional on the individual test missing (keep_missed) or
     hitting, via rejection sampling of (V, W) pairs."""
-    p_ind = float(params.capture_probability(1))
+    p_ind = float(capture_probability(1))
     kept = []
     total_kept = 0
     drawn = 0
     chunk = max(min(needed * 4, 4_000_000), 100_000)
     while total_kept < needed and drawn < max_draws:
         v = sample_viral_load(gmm, rng, size=chunk)
-        hit_prob = binomial_tail(np.rint(v * params.sample_volume_ml), p_ind, params.tau)
+        hit_prob = binomial_tail(np.rint(v), p_ind, tau)
         hit = rng.random(chunk) < hit_prob
         sel = v[~hit] if keep_missed else v[hit]
         kept.append(sel)
@@ -140,14 +140,25 @@ def _sample_conditional(
     return out[:needed]
 
 
+def check_delta_prime(n: int, B: int, bootstrap_reps: int):
+    """Raise ValueError unless estimate_delta_prime accepts these sizes."""
+    if B < 10**5:
+        raise ValueError("B must be at least 1e5")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if bootstrap_reps < 1:
+        raise ValueError("bootstrap_reps must be at least 1")
+
+
 def estimate_delta_prime(
     n: int,
     beta_bar: float,
-    params: PcrParams,
+    tau: int,
     gmm: GmmParams,
     B: int = 10**6,
     bootstrap_reps: int = 10**4,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> DeltaPrimeEstimate:
     """Estimate delta' for pool size n with tau pre-calibrated to beta_bar.
 
@@ -155,27 +166,20 @@ def estimate_delta_prime(
     interval built from a 99.99% normal interval for E[Z] and a (95/99.99)%
     bootstrap percentile interval for E[X], combined as [L_X/U_Z, U_X/L_Z].
     """
-    if B < 10**5:
-        raise ValueError("B must be at least 1e5")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    check_delta_prime(n, B, bootstrap_reps)
     max_draws = 1000 * B  # cap rejection-sampler cost; report achieved sample size
 
-    p_pool = float(params.capture_probability(n))
+    p_pool = float(capture_probability(n))
 
     # Z: one load conditional on an individual-test hit, diluted n-fold
-    v_hit = _sample_conditional(gmm, params, B, keep_missed=False, rng=rng, max_draws=max_draws)
-    z = binomial_tail(np.rint(v_hit * params.sample_volume_ml), p_pool, params.tau)
+    v_hit = _sample_conditional(gmm, tau, B, keep_missed=False, rng=rng, max_draws=max_draws)
+    z = binomial_tail(np.rint(v_hit), p_pool, tau)
 
     # X: pool of n loads, each conditional on an individual-test miss
-    v_miss = _sample_conditional(
-        gmm, params, n * B, keep_missed=True, rng=rng, max_draws=max_draws
-    )
+    v_miss = _sample_conditional(gmm, tau, n * B, keep_missed=True, rng=rng, max_draws=max_draws)
     b_x = v_miss.size // n
     pooled = v_miss[: b_x * n].reshape(b_x, n).sum(axis=1)
-    x = binomial_tail(np.rint(pooled * params.sample_volume_ml), p_pool, params.tau)
+    x = binomial_tail(np.rint(pooled), p_pool, tau)
 
     z_bar = float(z.mean())
     x_bar = float(x.mean())

@@ -13,7 +13,7 @@ import pytest
 
 from corrpool.dorfman import run_dorfman
 from corrpool.metrics import estimate_fpr
-from corrpool.pcr import PcrParams, RealisticSensitivity, calibrate_tau
+from corrpool.pcr import RealisticSensitivity, calibrate_tau
 from corrpool.pooling import assign_correlated, assign_naive
 from corrpool.population import HOUSEHOLD_DISTS, HouseholdDist, generate_population
 from corrpool.runner import (
@@ -54,7 +54,7 @@ def tau_by_target():
     out = {}
     for i, target in enumerate((0.025, 0.05, 0.1, 0.2)):
         rng = np.random.default_rng(1000 + i)
-        out[target] = calibrate_tau(target, DEFAULT_GMM, PcrParams(), rng)
+        out[target] = calibrate_tau(target, DEFAULT_GMM, rng)
     return out
 
 
@@ -85,7 +85,7 @@ def delta_prime_cells(tau_by_target):
         cells[(n, target)] = estimate_delta_prime(
             n,
             target,
-            PcrParams(tau=tau_by_target[target]),
+            tau_by_target[target],
             DEFAULT_GMM,
             B=10**6,
             bootstrap_reps=400,
@@ -232,7 +232,7 @@ def test_criterion_8_structural_invariants(tmp_path, monkeypatch):
         assign_correlated(pop, n, rng).validate()
 
     # detected positives never exceed infected or individually-positive members
-    sens = RealisticSensitivity(PcrParams(tau=174))
+    sens = RealisticSensitivity(174)
     for _ in range(100):
         pop = generate_population(600, HOUSEHOLD_DISTS["US"], 0.05, 0.3, rng=rng)
         for assignment in (assign_naive(600, 6, rng), assign_correlated(pop, 6, rng)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrpool.dorfman import run_dorfman
-from corrpool.pcr import PcrParams, RealisticSensitivity, StepSensitivity
+from corrpool.pcr import RealisticSensitivity, StepSensitivity
 from corrpool.pooling import assign_correlated, assign_naive
 from corrpool.population import HOUSEHOLD_DISTS, Population, generate_population
 
@@ -26,11 +26,11 @@ def test_all_negative_population():
     rng = np.random.default_rng(0)
     pop = _manual_population([0.0] * 60)
     a = assign_naive(60, 6, rng)
-    out = run_dorfman(pop, a, RealisticSensitivity(PcrParams(tau=174)), rng)
+    out = run_dorfman(pop, a, RealisticSensitivity(174), rng)
     assert not out.pool_positive.any()
     assert out.total_D == 0
     assert out.total_followup == 0
-    assert out.total_tests == out.pooled_tests == 10
+    assert out.pooled_tests + out.total_followup == out.pooled_tests == a.num_pools == 10
 
 
 def test_step_threshold_met_exactly_after_dilution():
@@ -52,7 +52,7 @@ def test_detected_bounded_by_infected_and_individual_positives():
     for _ in range(30):
         pop = generate_population(600, US, 0.05, 0.3, rng=rng)
         a = assign_correlated(pop, 6, rng)
-        out = run_dorfman(pop, a, RealisticSensitivity(PcrParams(tau=174)), rng)
+        out = run_dorfman(pop, a, RealisticSensitivity(174), rng)
         assert np.all(out.detected <= out.s_count)
         assert np.all(out.detected <= out.individual_positive_count)
         assert np.all(out.detected[~out.pool_positive] == 0)
@@ -75,7 +75,7 @@ def test_aggregates_permutation_invariant_in_pool_order():
     rng = np.random.default_rng(4)
     pop = generate_population(600, US, 0.05, 0.3, rng=rng)
     a = assign_naive(600, 6, rng)
-    out = run_dorfman(pop, a, RealisticSensitivity(PcrParams(tau=174)), rng)
+    out = run_dorfman(pop, a, RealisticSensitivity(174), rng)
     perm = np.random.default_rng(5).permutation(out.s_count.size)
     assert out.s_count[perm].sum() == out.total_S
     assert out.detected[perm].sum() == out.total_D
@@ -91,7 +91,7 @@ def test_pad_last_pool_changes_only_ragged_dilution():
     pop = _manual_population([load, 0.0, 0.0])
     a = assign_naive(3, 6, rng)
     trials = 4000
-    for sens in (RealisticSensitivity(PcrParams(tau=174)), StepSensitivity(2000.0)):
+    for sens in (RealisticSensitivity(174), StepSensitivity(2000.0)):
         p_actual = sens.success_probability(load, 3)
         p_padded = sens.success_probability(load, 6)
         assert p_padded < p_actual

@@ -5,18 +5,17 @@ import pytest
 
 from corrpool.dorfman import run_dorfman
 from corrpool.metrics import estimate_fpr, summarize_replications
-from corrpool.pcr import PcrParams, RealisticSensitivity
+from corrpool.pcr import RealisticSensitivity
 from corrpool.pooling import assign_correlated
 from corrpool.population import HOUSEHOLD_DISTS, generate_population
 
 US = HOUSEHOLD_DISTS["US"]
 
 
-def _summarize(outcome):
-    """One-replication summary of a protocol run's totals."""
+def _summarize(outcome, N):
+    """One-replication summary of a protocol run's totals over N persons."""
     return summarize_replications(
-        [outcome.total_S], [outcome.total_D], [outcome.pooled_tests], [outcome.total_followup],
-        outcome.N,
+        [outcome.total_S], [outcome.total_D], [outcome.pooled_tests], [outcome.total_followup], N
     )
 
 
@@ -38,24 +37,25 @@ def test_all_negative_outcome_flags():
 def test_efficiency_identity_on_raw_tallies():
     # with all pools full, N/(pooled+followup) == (1/n + alpha_hat*eta_hat*(1-beta_hat))^-1
     rng = np.random.default_rng(1)
-    sens = RealisticSensitivity(PcrParams(tau=174))
+    sens = RealisticSensitivity(174)
     for _ in range(20):
         pop = generate_population(600, US, 0.05, 0.3, rng=rng)
-        out = run_dorfman(pop, assign_correlated(pop, 6, rng), sens, rng)
-        m = _summarize(out)
+        assignment = assign_correlated(pop, 6, rng)
+        out = run_dorfman(pop, assignment, sens, rng)
+        m = _summarize(out, pop.size)
         if m.eta is None:
             continue
-        alpha_hat = out.total_S / out.N
-        identity = 1.0 / (1.0 / out.n + alpha_hat * m.eta * m.sensitivity)
+        alpha_hat = out.total_S / pop.size
+        identity = 1.0 / (1.0 / assignment.n + alpha_hat * m.eta * m.sensitivity)
         assert abs(m.efficiency - identity) < 1e-9
 
 
 def test_gamma_identity_from_per_pool_tallies():
     rng = np.random.default_rng(2)
-    sens = RealisticSensitivity(PcrParams(tau=174))
+    sens = RealisticSensitivity(174)
     pop = generate_population(600, US, 0.05, 0.3, rng=rng)
     out = run_dorfman(pop, assign_correlated(pop, 6, rng), sens, rng)
-    m = _summarize(out)
+    m = _summarize(out, pop.size)
     recomputed = out.detected.sum() / (out.pool_positive.size + out.followup_tests.sum())
     assert abs(m.gamma - recomputed) < 1e-12
 

@@ -9,9 +9,9 @@ from scipy.special import betainc
 
 import corrpool.pcr
 from corrpool.pcr import (
-    PcrParams,
     _certain_count,
     binomial_tail,
+    capture_probability,
     draw_positive,
     PiecewiseSensitivity,
     RealisticSensitivity,
@@ -23,30 +23,27 @@ from corrpool.viral import DEFAULT_GMM, GmmParams, sample_viral_load
 
 def test_zero_loads_always_negative():
     rng = np.random.default_rng(0)
-    params = PcrParams(tau=174)
     for n in (1, 6, 40):
-        assert not draw_positive(np.zeros(50), n, params, rng).any()
+        assert not draw_positive(np.zeros(50), n, 174, rng).any()
 
 
 def test_saturated_load_positive():
-    params = PcrParams(tau=174)
-    assert RealisticSensitivity(params).success_probability(1e9, 1) > 1 - 1e-12
+    assert RealisticSensitivity(174).success_probability(1e9, 1) > 1 - 1e-12
     rng = np.random.default_rng(0)
-    assert draw_positive(1e9, 1, params, rng).all()
+    assert draw_positive(1e9, 1, 174, rng).all()
 
 
 def test_individual_fnr_at_calibrated_tau():
     rng = np.random.default_rng(7)
     loads = sample_viral_load(DEFAULT_GMM, rng, size=10**6)
-    params = PcrParams(tau=174)
-    positive_fraction = RealisticSensitivity(params).success_probability(loads, 1).mean()
+    positive_fraction = RealisticSensitivity(174).success_probability(loads, 1).mean()
     assert positive_fraction == pytest.approx(0.95, abs=0.005)
 
 
 def test_tail_near_threshold_matches_poisson():
     # mean count exactly tau: K*p = 3480 * 0.05 = 174
-    params = PcrParams(tau=174)
-    prob = RealisticSensitivity(params).success_probability(3480.0, 1)
+    assert capture_probability(1) == 0.05
+    prob = RealisticSensitivity(174).success_probability(3480.0, 1)
     poisson_tail = 1.0 - stats.poisson.cdf(173, 174)
     assert poisson_tail == pytest.approx(0.51, abs=0.01)
     assert prob == pytest.approx(poisson_tail, abs=0.02)
@@ -72,7 +69,7 @@ def test_step_evaluation():
 
 
 def test_monotonicity_in_load():
-    realistic = RealisticSensitivity(PcrParams(tau=174))
+    realistic = RealisticSensitivity(174)
     grid = np.logspace(0, 10, 200)
     for fn in (
         lambda v: realistic.success_probability(v, 1),
@@ -92,8 +89,7 @@ def test_every_model_shares_success_probability_and_draw():
     # success_probability(total, n) is the model's function of total / n (for
     # the realistic model, the binomial tail of the total count at the n-fold
     # diluted capture probability); draw samples exactly those outcomes
-    params = PcrParams(tau=174)
-    realistic = RealisticSensitivity(params)
+    realistic = RealisticSensitivity(174)
     mean_load_models = [
         (StepSensitivity(1e4), lambda v: float(v >= 1e4)),
         (StepSensitivity(0.0), lambda v: float(v > 0)),
@@ -102,11 +98,11 @@ def test_every_model_shares_success_probability_and_draw():
     totals = np.array([0.0, 6.0, 12.0, 15.0, 18.0, 7000.0, 20880.0, 59994.0, 6e4, 1e9])
     ragged = np.array([6] * 9 + [3])
     for n in (1, 6, ragged):
-        expected = binomial_tail(np.rint(totals), params.capture_probability(n), params.tau)
+        expected = binomial_tail(np.rint(totals), capture_probability(n), 174)
         assert np.array_equal(realistic.success_probability(totals, n), expected)
         rng = np.random.default_rng(8)
         clone = copy.deepcopy(rng)
-        assert np.array_equal(realistic.draw(totals, n, rng), draw_positive(totals, n, params, clone))
+        assert np.array_equal(realistic.draw(totals, n, rng), draw_positive(totals, n, 174, clone))
         for model, fn in mean_load_models:
             p = model.success_probability(totals, n)
             assert np.array_equal(p, [fn(v) for v in totals / n])
@@ -116,26 +112,25 @@ def test_every_model_shares_success_probability_and_draw():
 
 
 def test_dilution_non_increasing_in_pool_size():
-    sens = RealisticSensitivity(PcrParams(tau=174))
+    sens = RealisticSensitivity(174)
     for load in (1e3, 1e4, 1e5, 1e6):
         probs = [sens.success_probability(load, n) for n in (1, 2, 6, 12, 40)]
         assert np.all(np.diff(probs) <= 1e-15)
 
 
 def test_sampled_outcomes_match_analytic_tail():
-    params = PcrParams(tau=174)
     rng = np.random.default_rng(3)
     trials = 10**5
     for load in (2000.0, 3480.0, 5000.0, 2e4, 1e6):
-        analytic = RealisticSensitivity(params).success_probability(load, 1)
-        hits = draw_positive(np.full(trials, load), 1, params, rng).sum()
+        analytic = RealisticSensitivity(174).success_probability(load, 1)
+        hits = draw_positive(np.full(trials, load), 1, 174, rng).sum()
         se = np.sqrt(max(analytic * (1 - analytic), 1e-12) / trials)
         assert abs(hits / trials - analytic) < max(3 * se, 1e-3)
 
 
 def test_calibrate_tau_hits_target():
     rng = np.random.default_rng(11)
-    tau = calibrate_tau(0.05, DEFAULT_GMM, PcrParams(), rng)
+    tau = calibrate_tau(0.05, DEFAULT_GMM, rng)
     assert abs(tau - 174) <= 0.03 * 174
 
 
@@ -158,7 +153,7 @@ def gmm_counts():
 @pytest.mark.parametrize("tau", [1, 2, 174, 1240, 10**5])
 @pytest.mark.parametrize("n", [1, 2, 6, 40])
 def test_binomial_tail_bit_identical_to_betainc(gmm_counts, n, tau):
-    p = float(PcrParams().capture_probability(n))
+    p = float(capture_probability(n))
     cutoff = _certain_count(p, tau)
     # 10^6 GMM-drawn counts plus every count within 2000 of the cutoff
     counts = np.concatenate([gmm_counts, np.arange(max(tau, cutoff - 2000), cutoff + 2000)])
@@ -173,7 +168,7 @@ def test_binomial_tail_bit_identical_for_per_pool_p(gmm_counts):
     rng = np.random.default_rng(5)
     sizes = np.where(rng.random(20000) < 0.9, 6, rng.integers(1, 6, 20000))
     totals = np.add.reduceat(gmm_counts[: sizes.sum()], np.cumsum(sizes) - sizes)
-    p = PcrParams().capture_probability(sizes)
+    p = capture_probability(sizes)
     got = binomial_tail(totals, p, 174)
     assert np.array_equal(got, _betainc_tail(totals, p, 174))
 
@@ -182,7 +177,7 @@ def _bisection_tau(beta_bar, rng):
     """Reference search: gallop tau = 1, 2, 4, ... to a bracket of the target,
     then bisect it. Returns the tau and the number of tau probed."""
     K = np.rint(sample_viral_load(DEFAULT_GMM, rng, size=10**6))
-    p = float(PcrParams().capture_probability(1))
+    p = float(capture_probability(1))
     probed = []
 
     def reaches_target(tau):
@@ -209,7 +204,7 @@ def _bisection_tau(beta_bar, rng):
 def test_calibrate_tau_matches_unscreened_kernel(seed, beta_bar, expected_tau):
     # expected values were calibrated with every tail evaluated through betainc
     rng = np.random.default_rng(seed)
-    assert calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), rng) == expected_tau
+    assert calibrate_tau(beta_bar, DEFAULT_GMM, rng) == expected_tau
     assert _bisection_tau(beta_bar, np.random.default_rng(seed))[0] == expected_tau
 
 
@@ -217,7 +212,7 @@ def test_calibrate_tau_matches_unscreened_kernel(seed, beta_bar, expected_tau):
 def test_binomial_tail_table_switch_point(monkeypatch, extra):
     # the window [tau, K_c) holds width - 1, width or width + 1 elements; the
     # table (one betainc call of the window's width) takes over from width on
-    p, tau = float(PcrParams().capture_probability(6)), 174
+    p, tau = float(capture_probability(6)), 174
     cutoff = int(_certain_count(p, tau))
     width = cutoff - tau
     window = np.arange(tau, cutoff, dtype=float)
@@ -236,13 +231,11 @@ def test_binomial_tail_table_switch_point(monkeypatch, extra):
 
 
 def test_binomial_tail_bit_identical_at_the_edges():
-    p, tau = float(PcrParams().capture_probability(1)), 174
+    p, tau = float(capture_probability(1)), 174
     cutoff = _certain_count(p, tau)
     # an infinite cutoff (p = 1) and non-integer counts take the per-element path
-    sure = PcrParams(binding_efficiency=1.0, subsample_volume_ul=1000.0).capture_probability(1)
-    assert sure == 1.0
     for counts, q in [
-        (np.arange(0.0, 400.0), sure),
+        (np.arange(0.0, 400.0), 1.0),
         (np.arange(tau, cutoff) + 0.5, p),
         (np.array([]), p),
         (np.float64(tau + 30), p),
@@ -264,7 +257,7 @@ def test_calibrate_tau_on_the_runner_stream(seed, expected):
         return np.random.default_rng(np.random.SeedSequence((seed, 3)))
 
     betas = (0.025, 0.05, 0.1, 0.2)
-    assert [calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), stream()) for beta_bar in betas] == expected
+    assert [calibrate_tau(beta_bar, DEFAULT_GMM, stream()) for beta_bar in betas] == expected
     assert [_bisection_tau(beta_bar, stream())[0] for beta_bar in betas] == expected
 
 
@@ -279,7 +272,7 @@ def test_calibrate_tau_probes_fewer_tau_than_bisection(monkeypatch):
         return tail(counts, p, tau)
 
     monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
-    tau = calibrate_tau(0.05, DEFAULT_GMM, PcrParams(), np.random.default_rng(np.random.SeedSequence((0, 3))))
+    tau = calibrate_tau(0.05, DEFAULT_GMM, np.random.default_rng(np.random.SeedSequence((0, 3))))
     monkeypatch.undo()
     reference, reference_probes = _bisection_tau(0.05, np.random.default_rng(np.random.SeedSequence((0, 3))))
     assert tau == reference == 176
@@ -289,10 +282,11 @@ def test_calibrate_tau_probes_fewer_tau_than_bisection(monkeypatch):
 
 def test_calibrate_tau_bracket_ends(monkeypatch):
     # nearly every load rounds to zero copies: already tau = 1 misses the target
-    assert calibrate_tau(0.05, GmmParams((1.0,), (-3.0,), (0.1,)), draws=10**5) == 1
+    rng = np.random.default_rng(0)
+    assert calibrate_tau(0.05, GmmParams((1.0,), (-3.0,), (0.1,)), rng, draws=10**5) == 1
     # every load holds ~10**12 copies: no tau up to the search limit misses enough
     with pytest.raises(ValueError, match="unreachable"):
-        calibrate_tau(0.05, GmmParams((1.0,), (12.0,), (0.1,)), draws=10**5)
+        calibrate_tau(0.05, GmmParams((1.0,), (12.0,), (0.1,)), np.random.default_rng(0), draws=10**5)
     probed = []
     tail = corrpool.pcr.binomial_tail
 
@@ -301,21 +295,18 @@ def test_calibrate_tau_bracket_ends(monkeypatch):
         return tail(counts, p, tau)
 
     monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
-    tau = calibrate_tau(0.05, DEFAULT_GMM, draws=10**5)
+    tau = calibrate_tau(0.05, DEFAULT_GMM, np.random.default_rng(0), draws=10**5)
     assert probed[0] == 1 and max(probed) <= 2 * tau
 
 
 def test_calibrate_tau_rejects_bad_target():
     with pytest.raises(ValueError):
-        calibrate_tau(0.0, DEFAULT_GMM)
+        calibrate_tau(0.0, DEFAULT_GMM, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        calibrate_tau(0.6, DEFAULT_GMM)
+        calibrate_tau(0.6, DEFAULT_GMM, np.random.default_rng(0))
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PcrParams(tau=0)
-    with pytest.raises(ValueError):
-        PcrParams(binding_efficiency=0.0)
-    with pytest.raises(ValueError):
-        PcrParams(subsample_volume_ul=2000.0)
+    for tau in (0, True, 174.5):
+        with pytest.raises(ValueError):
+            RealisticSensitivity(tau)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import corrpool.cli
 import corrpool.runner
 from corrpool.cli import build_parser, main
 from corrpool.errors import ConfigError
@@ -61,6 +62,8 @@ MALFORMED_CONFIGS = {
     "variant_string": ("sensitivity_variant", "step"),
     "variant_u0": ("sensitivity_variant", {"variant": "step", "u0": "abc"}),
     "variant_thetas": ("sensitivity_variant", {"variant": "piecewise", "theta1": 0.9, "theta2": 0.2}),
+    "realistic_extra_key": ("sensitivity_variant", {"variant": "realistic", "tau": 174}),
+    "step_extra_key": ("sensitivity_variant", {"variant": "step", "u0": 100.0, "theta1": 0.2}),
     "pool_size": ("pool_size", 6.5),
     "replications": ("replications", 2.5),
     "population_size": ("population_size", 100.5),
@@ -68,6 +71,8 @@ MALFORMED_CONFIGS = {
     "pad_last_pool": ("pad_last_pool", "no"),
     "tau_bool": ("tau", True),
     "strategies_string": ("strategies", "naive"),
+    "strategies_empty": ("strategies", []),
+    "strategies_duplicate": ("strategies", ["naive", "naive"]),
 }
 
 
@@ -373,6 +378,30 @@ def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
 
     monkeypatch.setattr(corrpool.runner, "calibrate_tau", never_calibrate)
     assert main(argv + ["--beta-bar", "0.05", "--population-size", "60"]) == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta-bound", "--bootstrap-reps", "0"],
+        ["delta-bound", "--bootstrap-reps", "-3"],
+        ["delta-bound", "--n", "1"],
+        ["delta-bound", "--b", "10"],
+        ["delta-bound", "--beta-bar", "0.7"],
+        ["calibrate", "--beta-bar", "0.05,0.7"],
+        ["calibrate", "--beta-bar", "0.05", "--draws", "10"],
+    ],
+    ids=["reps_zero", "reps_negative", "n_one", "b_small", "delta_beta_bar", "calibrate_beta_bar", "draws"],
+)
+def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv):
+    def never_calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_tau called before every argument was checked")
+
+    monkeypatch.setattr(corrpool.cli, "calibrate_tau", never_calibrate)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_cli_exit_code_infeasible():

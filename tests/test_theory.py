@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from corrpool.pcr import PcrParams, calibrate_tau
+from corrpool.pcr import calibrate_tau
 from corrpool.theory import (
     counterexample_closed_form,
     counterexample_enumerate,
@@ -68,9 +68,9 @@ def test_delta_prime_smoke():
     # small-B smoke test; the acceptance suite pins the table values
     rng = np.random.default_rng(0)
     beta_bar = 0.05
-    tau = calibrate_tau(beta_bar, DEFAULT_GMM, PcrParams(), rng, draws=2 * 10**5)
+    tau = calibrate_tau(beta_bar, DEFAULT_GMM, rng, draws=2 * 10**5)
     est = estimate_delta_prime(
-        6, beta_bar, PcrParams(tau=tau), DEFAULT_GMM, B=10**5, bootstrap_reps=200, rng=rng
+        6, beta_bar, tau, DEFAULT_GMM, B=10**5, bootstrap_reps=200, rng=rng
     )
     assert est.delta_prime_hat > 0
     assert est.ci_low <= est.delta_prime_hat <= est.ci_high
@@ -79,7 +79,10 @@ def test_delta_prime_smoke():
 
 
 def test_delta_prime_rejects_bad_args():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        estimate_delta_prime(1, 0.05, PcrParams(), DEFAULT_GMM)
+        estimate_delta_prime(1, 0.05, 174, DEFAULT_GMM, rng=rng)
     with pytest.raises(ValueError):
-        estimate_delta_prime(2, 0.05, PcrParams(), DEFAULT_GMM, B=10**3)
+        estimate_delta_prime(2, 0.05, 174, DEFAULT_GMM, B=10**3, rng=rng)
+    with pytest.raises(ValueError):
+        estimate_delta_prime(2, 0.05, 174, DEFAULT_GMM, B=10**5, bootstrap_reps=0, rng=rng)
