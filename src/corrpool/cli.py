@@ -114,6 +114,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     targets = _parse_floats(args.beta_bar)
+    if not targets:
+        raise ConfigError("--beta-bar needs at least one target")
     for target in targets:
         check_calibration(target, args.draws)
     rng = np.random.default_rng(args.seed)

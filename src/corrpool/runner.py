@@ -259,14 +259,19 @@ def run_replications(configs: list[ScenarioConfig], tau: int) -> list[dict[str, 
 def run_cells(config: ScenarioConfig, cells) -> tuple[int, list[dict[str, StrategyTallies]]]:
     """Run every (alpha, pool size) cell at one tau, which depends on neither.
 
-    Every cell's config, its household infection probability and the worker
-    count are checked first, so a bad cell or a malformed CORRPOOL_WORKERS
-    fails before tau calibration.
+    Every cell's config, its household infection probability, that no cell
+    repeats and the worker count are checked first, so a bad or repeated cell
+    or a malformed CORRPOOL_WORKERS fails before tau calibration.
     """
     configs = [replace(config, alpha=alpha, pool_size=n) for alpha, n in cells]
     if not configs:
         raise ConfigError("no (alpha, pool size) cells to run")
+    seen = set()
     for cell in configs:
+        key = (cell.alpha, cell.pool_size)
+        if key in seen:
+            raise ConfigError(f"repeated (alpha, pool size) cell {key}")
+        seen.add(key)
         household_infection_prob(cell.alpha, cell.q, cell.resolve_dist())
     worker_count()
     tau = config.resolve_tau()

@@ -10,14 +10,17 @@ X = p(pool of n loads drawn conditional on an individual-test miss) and
 Z = p(one load drawn conditional on an individual-test hit, diluted n-fold).
 Conditional loads come from rejection sampling; the confidence interval
 combines a normal interval for E[Z] with a bootstrap percentile interval for
-E[X] into a conservative ratio interval.
+E[X] into a conservative ratio interval. The sampler screens out certain
+hits: a load at or above the individual test's certain count K_c, about nine
+in ten at beta_bar = 5%, is a hit without evaluating its tail, and the result
+is bit-identical to evaluating every tail (see _sample_conditional).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pcr import PiecewiseSensitivity, binomial_tail, capture_probability
+from .pcr import PiecewiseSensitivity, _certain_count, binomial_tail, capture_probability
 from .viral import GmmParams, sample_viral_load
 
 _POOL_SIZE = 2  # the counterexample is built on pools of two
@@ -122,16 +125,27 @@ def _sample_conditional(
     max_draws: int,
 ):
     """Viral loads conditional on the individual test missing (keep_missed) or
-    hitting, via rejection sampling of (V, W) pairs."""
+    hitting, via rejection sampling of (V, W) pairs.
+
+    A load at or above the certain count K_c of the individual test is a hit
+    without evaluating its tail: K_c is an integer, so rint(v) >= K_c, the
+    tail is exactly 1.0 and every uniform lies below it. Only the loads under
+    K_c go through rint and binomial_tail; each chunk still draws one uniform
+    per load, so the kept loads and the stream position are the same.
+    """
     p_ind = float(capture_probability(1))
+    certain = _certain_count(p_ind, tau)
     kept = []
     total_kept = 0
     drawn = 0
     chunk = max(min(needed * 4, 4_000_000), 100_000)
     while total_kept < needed and drawn < max_draws:
         v = sample_viral_load(gmm, rng, size=chunk)
-        hit_prob = binomial_tail(np.rint(v), p_ind, tau)
-        hit = rng.random(chunk) < hit_prob
+        u = rng.random(chunk)
+        hit = v >= certain
+        low = np.flatnonzero(~hit)
+        hit[low] = u[low] < binomial_tail(np.rint(v[low]), p_ind, tau)
+        del u
         sel = v[~hit] if keep_missed else v[hit]
         kept.append(sel)
         total_kept += sel.size

@@ -66,14 +66,31 @@ def ct_to_log10_viral_load(ct):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size=None):
-    """Draw log10 viral loads for infected individuals from the mixture."""
+def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size):
+    """Draw log10 viral loads for infected individuals from the mixture.
+
+    The same bits and stream position as rng.normal(mu[comp], sd[comp]) with
+    comp = rng.choice(len(w), size, p=w), faster: the component of a uniform u
+    is the number of mixture CDF entries at or below it, which is what
+    choice's searchsorted(side="right") returns, counted here with one
+    comparison per component boundary into an index just wide enough for the
+    component count.
+    """
     w, mu, sd = params.as_arrays()
-    comp = rng.choice(len(w), size=size, p=w)
-    # the same bits and stream position as rng.normal(mu[comp], sd[comp]), faster
-    return mu[comp] + sd[comp] * rng.standard_normal(comp.shape)
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    comp = np.zeros(u.shape, dtype=np.min_scalar_type(len(w) - 1))
+    for c in cdf[:-1]:
+        comp += u >= c
+    del u
+    x = rng.standard_normal(comp.shape)
+    x *= sd[comp]
+    x += mu[comp]
+    return x
 
 
-def sample_viral_load(params: GmmParams, rng: np.random.Generator, size=None):
+def sample_viral_load(params: GmmParams, rng: np.random.Generator, size):
     """Draw viral loads in linear copies/mL for infected individuals."""
-    return 10.0 ** sample_log10_viral_load(params, rng, size=size)
+    x = sample_log10_viral_load(params, rng, size)
+    return np.power(10.0, x, out=x)

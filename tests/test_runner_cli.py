@@ -369,8 +369,13 @@ def test_cli_malformed_workers_env_fails_before_tau_calibration(monkeypatch, cap
         (["optimize", "--candidates", "6,0", "--replications", "500"], 2),
         (["optimize", "--alpha", "0.9", "--candidates", "4,6", "--replications", "500"], 3),
         (["simulate", "--alpha", "0.9"], 3),
+        (["sweep", "--alphas", "0.01", "--pool-sizes", "6,6", "--output", os.devnull], 2),
+        (["sweep", "--alphas", "0.01,0.010", "--pool-sizes", "6", "--output", os.devnull], 2),
     ],
-    ids=["sweep_alpha", "sweep_infeasible", "optimize_pool_size", "optimize_infeasible", "simulate_infeasible"],
+    ids=[
+        "sweep_alpha", "sweep_infeasible", "optimize_pool_size", "optimize_infeasible", "simulate_infeasible",
+        "sweep_repeated_pool_size", "sweep_repeated_alpha",
+    ],
 )
 def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
     def never_calibrate(*args, **kwargs):
@@ -390,8 +395,12 @@ def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
         ["delta-bound", "--beta-bar", "0.7"],
         ["calibrate", "--beta-bar", "0.05,0.7"],
         ["calibrate", "--beta-bar", "0.05", "--draws", "10"],
+        ["calibrate", "--beta-bar", ",", "--output", os.devnull],
     ],
-    ids=["reps_zero", "reps_negative", "n_one", "b_small", "delta_beta_bar", "calibrate_beta_bar", "draws"],
+    ids=[
+        "reps_zero", "reps_negative", "n_one", "b_small", "delta_beta_bar", "calibrate_beta_bar", "draws",
+        "calibrate_no_target",
+    ],
 )
 def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv):
     def never_calibrate(*args, **kwargs):
@@ -401,7 +410,7 @@ def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.err.startswith(("error: ", "configuration error: ")) and "Traceback" not in captured.err
 
 
 def test_cli_exit_code_infeasible():

@@ -1,17 +1,20 @@
 """Tests for the counterexample closed forms and the delta' bound estimator."""
 
+import copy
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from corrpool.pcr import calibrate_tau
+import corrpool.theory
+from corrpool.pcr import binomial_tail, calibrate_tau, capture_probability
 from corrpool.theory import (
+    _sample_conditional,
     counterexample_closed_form,
     counterexample_enumerate,
     estimate_delta_prime,
 )
-from corrpool.viral import DEFAULT_GMM
+from corrpool.viral import DEFAULT_GMM, sample_viral_load
 
 
 def test_closed_form_reference_point():
@@ -86,3 +89,55 @@ def test_delta_prime_rejects_bad_args():
         estimate_delta_prime(2, 0.05, 174, DEFAULT_GMM, B=10**3, rng=rng)
     with pytest.raises(ValueError):
         estimate_delta_prime(2, 0.05, 174, DEFAULT_GMM, B=10**5, bootstrap_reps=0, rng=rng)
+
+
+def _sample_conditional_full_evaluation(gmm, tau, needed, keep_missed, rng, max_draws):
+    # the sampler as it was before the certain-hit screen: every load's tail
+    # is evaluated and compared with its uniform
+    p_ind = float(capture_probability(1))
+    kept = []
+    total_kept = 0
+    drawn = 0
+    chunk = max(min(needed * 4, 4_000_000), 100_000)
+    while total_kept < needed and drawn < max_draws:
+        v = sample_viral_load(gmm, rng, size=chunk)
+        hit = rng.random(chunk) < binomial_tail(np.rint(v), p_ind, tau)
+        sel = v[~hit] if keep_missed else v[hit]
+        kept.append(sel)
+        total_kept += sel.size
+        drawn += chunk
+    return np.concatenate(kept)[:needed]
+
+
+@pytest.mark.parametrize("keep_missed", [True, False], ids=["missed", "hit"])
+@pytest.mark.parametrize("tau, needed, max_draws", [(174, 30_000, 10**9), (1241, 10**5, 10**5)])
+def test_sample_conditional_equals_full_evaluation(keep_missed, tau, needed, max_draws):
+    rng = np.random.default_rng(9)
+    ref = copy.deepcopy(rng)
+    got = _sample_conditional(DEFAULT_GMM, tau, needed, keep_missed, rng, max_draws)
+    expected = _sample_conditional_full_evaluation(DEFAULT_GMM, tau, needed, keep_missed, ref, max_draws)
+    assert got.size > 0
+    assert got.tobytes() == expected.tobytes()
+    assert rng.random() == ref.random()
+
+
+def test_delta_prime_draws_every_load_through_the_theory_sampler(monkeypatch):
+    # perfbench wraps corrpool.theory.sample_viral_load to count the delta'
+    # draws and its acceptance ratio; the estimate must reach loads only there
+    def run():
+        rng = np.random.default_rng(4)
+        return estimate_delta_prime(2, 0.05, 174, DEFAULT_GMM, B=10**5, bootstrap_reps=5, rng=rng)
+
+    expected = run()
+    draws = []
+
+    def counting_sampler(*args, **kwargs):
+        loads = sample_viral_load(*args, **kwargs)
+        draws.append(loads.size)
+        return loads
+
+    monkeypatch.setattr(corrpool.theory, "sample_viral_load", counting_sampler)
+    assert run() == expected
+    kept = 10**5 + 2 * expected.achieved_b
+    assert len(draws) > 1
+    assert 0.03 < kept / sum(draws) < 0.08

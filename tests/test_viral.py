@@ -53,18 +53,28 @@ def test_degenerate_single_component_draws():
 
 
 @pytest.mark.parametrize(
-    "params", [DEFAULT_GMM, GmmParams((1.0,), (5.0,), (0.7,))], ids=["default", "one_component"]
+    "params",
+    [
+        DEFAULT_GMM,
+        GmmParams((1.0,), (5.0,), (0.7,)),
+        GmmParams((0.3, 0.0, 0.7), (3.0, 4.0, 6.0), (1.0, 2.0, 0.5)),
+    ],
+    ids=["default", "one_component", "zero_weight"],
 )
 def test_draws_equal_normal_with_per_draw_parameters(params):
-    # the sampler scales standard normals itself; rng.normal(mu[comp], sd[comp])
-    # on a copy of the generator is the reference, bits and stream position
-    rng = np.random.default_rng(6)
-    ref = copy.deepcopy(rng)
-    draws = sample_log10_viral_load(params, rng, size=10**5)
+    # the sampler picks components and scales standard normals itself;
+    # rng.choice then rng.normal(mu[comp], sd[comp]) on a copy of the generator
+    # is the reference, bits and stream position
     w, mu, sd = params.as_arrays()
-    comp = ref.choice(len(w), size=10**5, p=w)
-    assert np.array_equal(draws, ref.normal(mu[comp], sd[comp]))
-    assert rng.random() == ref.random()
+    for size in (0, 1, 10**5):
+        rng = np.random.default_rng(6)
+        ref = copy.deepcopy(rng)
+        draws = sample_log10_viral_load(params, rng, size)
+        comp = ref.choice(len(w), size=size, p=w)
+        expected = ref.normal(mu[comp], sd[comp])
+        assert draws.shape == (size,)
+        assert draws.tobytes() == expected.tobytes()
+        assert rng.random() == ref.random()
 
 
 @pytest.fixture(scope="module")
