@@ -23,7 +23,10 @@ total_load / pool_size, and their draws compare one uniform per test with it.
 
 All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
-individual-test false-negative rate over infected loads hits a target.
+individual-test false-negative rate over infected loads hits a target. The
+search runs first on a histogram of the distinct counts, which gives the same
+curve up to summation order, and then confirms its tau on the full sample,
+usually in two probes.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
@@ -255,6 +258,81 @@ def check_calibration(target_beta_bar: float, draws: int = 10**6):
         raise ValueError("calibration needs at least 1e5 draws")
 
 
+def _smallest_tau(beta, target, start):
+    """Smallest integer tau in [1, _TAU_MAX] with beta(tau) >= target, for a
+    non-decreasing beta, searched outward from start.
+
+    From start the search gallops with a doubling step, down while beta
+    reaches the target and up while it misses, until a bracket lo < hi with
+    beta(lo) < target <= beta(hi); it returns 1 if even beta(1) reaches the
+    target and raises ValueError if beta(_TAU_MAX) misses it. It then narrows
+    the bracket by safeguarded interpolation: the next probe is the ceiling
+    of the linear guess between the bracket ends, clamped inside the bracket,
+    and a probe that fails to halve the bracket is followed by a bisection
+    step. From start = 1 it probes tau = 1, 2, 4, 8, ... By monotonicity the
+    answer does not depend on start; only the number of probes does.
+    """
+    tau, b = start, beta(start)
+    reached = b >= target
+    step = 1
+    while True:
+        if reached and tau == 1:
+            return 1
+        if not reached and tau == _TAU_MAX:
+            raise ValueError(f"target FNR {target} unreachable with tau <= {_TAU_MAX}")
+        nxt = max(tau - step, 1) if reached else min(tau + step, _TAU_MAX)
+        b_nxt = beta(nxt)
+        if (b_nxt >= target) != reached:
+            break
+        tau, b = nxt, b_nxt
+        step *= 2
+    lo, b_lo, hi, b_hi = (nxt, b_nxt, tau, b) if reached else (tau, b, nxt, b_nxt)
+    # invariant: b_lo = beta(lo) < target <= beta(hi) = b_hi
+    bisect = False
+    while hi - lo > 1:
+        width = hi - lo
+        if bisect:
+            mid = (lo + hi) // 2
+        else:
+            guess = lo + (target - b_lo) * width / (b_hi - b_lo)
+            mid = min(max(math.ceil(guess), lo + 1), hi - 1)
+        b_mid = beta(mid)
+        if b_mid >= target:
+            hi, b_hi = mid, b_mid
+        else:
+            lo, b_lo = mid, b_mid
+        bisect = not bisect and 2 * (hi - lo) > width
+    return hi
+
+
+def _guide_tau(K, p, target):
+    """Search the guide curve of calibrate_tau from tau = 1.
+
+    guide(tau) = 1 - (n_above + counts @ binomial_tail(values, p, tau)) / K.size
+    holds one tail per distinct count: values are the distinct counts below a
+    bound L, counts their multiplicities, and n_above the number of counts at
+    or above L, whose tails are exactly 1.0 while L >= K_c(tau). L is set to
+    8 K_c(tau) at the first probe and again whenever a probe's K_c exceeds
+    it. The histogram is freed before the full-sample passes: kept alive, it
+    left about 6 MB more heap resident after calibration, which every forked
+    replication worker then inherits.
+    """
+    bound = 0.0
+    values = counts = n_above = None
+
+    def guide(tau):
+        nonlocal bound, values, counts, n_above
+        certain = _certain_count(p, tau)
+        if certain > bound:
+            bound = 8.0 * certain
+            below = K[K < bound]
+            values, counts = np.unique(below, return_counts=True)
+            n_above = K.size - below.size
+        return 1.0 - (n_above + counts @ binomial_tail(values, p, tau)) / K.size
+
+    return _smallest_tau(guide, target, 1)
+
+
 def calibrate_tau(
     target_beta_bar: float,
     gmm: GmmParams,
@@ -266,14 +344,15 @@ def calibrate_tau(
     The FNR estimate beta_bar(tau) = mean of 1 - P(positive | V) over `draws`
     infected viral loads is computed on one common set of draws for every tau
     candidate, making the curve monotone in the realized sample, so the search
-    is exact and the result deterministic given the rng seed. The search
-    probes tau = 1, then gallops through tau = 2, 4, 8, ... up to _TAU_MAX
-    until beta_bar reaches the target, then narrows the last doubling by
-    safeguarded interpolation: the next probe is the ceiling of the linear
-    guess between the bracket ends, clamped inside the bracket, and a probe
-    that fails to halve the bracket is followed by a bisection step. Small
-    tau, where the tail window is narrow, are probed first; by monotonicity
-    the smallest tau found is the one a bisection of [1, _TAU_MAX] finds.
+    is exact and the result deterministic given the rng seed.
+
+    A guide curve (see _guide_tau) locates tau first without passing over
+    every draw: it sums the same per-count tails over a histogram of the
+    distinct counts, so it differs from beta_bar only by the order of the
+    summation. beta_bar is then searched from the guide's answer, so its bits
+    still decide tau, usually in two probes: the guide's tau and its
+    neighbour below. Only a target that is unreachable below _TAU_MAX is
+    decided by the guide alone, which raises ValueError.
     """
     check_calibration(target_beta_bar, draws)
     K = np.rint(sample_viral_load(gmm, rng, size=draws))
@@ -282,29 +361,4 @@ def calibrate_tau(
     def beta_bar(tau):
         return 1.0 - binomial_tail(K, p, tau).mean()
 
-    lo, b_lo = 1, beta_bar(1)
-    if b_lo >= target_beta_bar:
-        return 1
-    hi, b_hi = 2, beta_bar(2)
-    while b_hi < target_beta_bar:
-        if hi == _TAU_MAX:
-            raise ValueError(f"target FNR {target_beta_bar} unreachable with tau <= {_TAU_MAX}")
-        lo, b_lo = hi, b_hi
-        hi = min(2 * hi, _TAU_MAX)
-        b_hi = beta_bar(hi)
-    # invariant: b_lo = beta_bar(lo) < target <= beta_bar(hi) = b_hi
-    bisect = False
-    while hi - lo > 1:
-        width = hi - lo
-        if bisect:
-            mid = (lo + hi) // 2
-        else:
-            guess = lo + (target_beta_bar - b_lo) * width / (b_hi - b_lo)
-            mid = min(max(math.ceil(guess), lo + 1), hi - 1)
-        b_mid = beta_bar(mid)
-        if b_mid >= target_beta_bar:
-            hi, b_hi = mid, b_mid
-        else:
-            lo, b_lo = mid, b_mid
-        bisect = not bisect and 2 * (hi - lo) > width
-    return hi
+    return _smallest_tau(beta_bar, target_beta_bar, _guide_tau(K, p, target_beta_bar))

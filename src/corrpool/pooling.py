@@ -75,7 +75,9 @@ def assign_correlated(population: Population, n: int, rng: np.random.Generator) 
     P = -(-N // n)
     order = rng.permutation(sizes.size)
 
-    free = [n] * P
+    # a sentinel pool past the last one holds any household, so the scan for
+    # a whole-household fit stops at index P without a bounds test
+    free = [n] * P + [N + 1]
     # first_fit[s]: first pool that might still hold s more members. free only
     # ever decreases, so each pointer moves monotonically right and the whole
     # pass is O(n*P + H).
@@ -90,7 +92,7 @@ def assign_correlated(population: Population, n: int, rng: np.random.Generator) 
     for s in sizes[order].tolist():
         if s <= n:
             j = first_fit[s]
-            while j < P and free[j] < s:
+            while free[j] < s:
                 j += 1
             first_fit[s] = j
             if j < P:
@@ -104,7 +106,9 @@ def assign_correlated(population: Population, n: int, rng: np.random.Generator) 
         while s:
             while free[k] == 0:
                 k += 1
-            take = min(free[k], s)
+            take = free[k]
+            if take > s:
+                take = s
             chunk_pool.append(k)
             chunk_count.append(take)
             free[k] -= take

@@ -214,7 +214,7 @@ def estimate_delta_prime(
     boot = np.empty(bootstrap_reps)
     for r in range(bootstrap_reps):
         idx = rng.integers(0, x.size, x.size)
-        boot[r] = x[idx].mean()
+        boot[r] = x.take(idx).mean()
     l_x = float(np.quantile(boot, tail_prob))
     u_x = float(np.quantile(boot, 1.0 - tail_prob))
     l_x = max(l_x, 0.0)

@@ -173,10 +173,10 @@ def test_binomial_tail_bit_identical_for_per_pool_p(gmm_counts):
     assert np.array_equal(got, _betainc_tail(totals, p, 174))
 
 
-def _bisection_tau(beta_bar, rng):
+def _bisection_tau(beta_bar, rng, draws=10**6):
     """Reference search: gallop tau = 1, 2, 4, ... to a bracket of the target,
     then bisect it. Returns the tau and the number of tau probed."""
-    K = np.rint(sample_viral_load(DEFAULT_GMM, rng, size=10**6))
+    K = np.rint(sample_viral_load(DEFAULT_GMM, rng, size=draws))
     p = float(capture_probability(1))
     probed = []
 
@@ -247,37 +247,80 @@ def test_binomial_tail_bit_identical_at_the_edges():
         assert np.array_equal(got, _betainc_tail(counts, q, tau))
 
 
+def _runner_stream(seed):
+    """The stream the runner seeds calibration with: SeedSequence((master_seed, 3))."""
+    return np.random.default_rng(np.random.SeedSequence((seed, 3)))
+
+
 @pytest.mark.parametrize(
     "seed, expected", [(0, [108, 176, 343, 1234]), (1, [109, 175, 343, 1241]), (2, [109, 174, 341, 1236])]
 )
 def test_calibrate_tau_on_the_runner_stream(seed, expected):
-    # the runner seeds calibration with SeedSequence((master_seed, 3)); the
-    # expected values were recorded with a bisection of [1, 10**7]
-    def stream():
-        return np.random.default_rng(np.random.SeedSequence((seed, 3)))
-
+    # the expected values were recorded with a bisection of [1, 10**7]
     betas = (0.025, 0.05, 0.1, 0.2)
-    assert [calibrate_tau(beta_bar, DEFAULT_GMM, stream()) for beta_bar in betas] == expected
-    assert [_bisection_tau(beta_bar, stream())[0] for beta_bar in betas] == expected
+    assert [calibrate_tau(beta_bar, DEFAULT_GMM, _runner_stream(seed)) for beta_bar in betas] == expected
+    assert [_bisection_tau(beta_bar, _runner_stream(seed))[0] for beta_bar in betas] == expected
 
 
 def test_calibrate_tau_probes_fewer_tau_than_bisection(monkeypatch):
-    # interpolating on the probed beta_bar values needs fewer probes than
-    # bisecting the galloped bracket, for the same tau
+    # the guide curve locates tau on a histogram of the counts; beta_bar over
+    # all 10**6 draws then only confirms it: at the guide's tau and one below
     probed = []
     tail = corrpool.pcr.binomial_tail
 
     def recording_tail(counts, p, tau):
-        probed.append(tau)
+        if np.size(counts) == 10**6:
+            probed.append(tau)
         return tail(counts, p, tau)
 
     monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
-    tau = calibrate_tau(0.05, DEFAULT_GMM, np.random.default_rng(np.random.SeedSequence((0, 3))))
+    tau = calibrate_tau(0.05, DEFAULT_GMM, _runner_stream(0))
     monkeypatch.undo()
-    reference, reference_probes = _bisection_tau(0.05, np.random.default_rng(np.random.SeedSequence((0, 3))))
+    reference, reference_probes = _bisection_tau(0.05, _runner_stream(0))
     assert tau == reference == 176
     assert reference_probes == 16
-    assert len(probed) < reference_probes
+    assert probed == [176, 175]
+
+
+def test_calibrate_tau_ignores_a_wrong_guide(monkeypatch):
+    # the search on beta_bar starts wherever the guide points and still ends
+    # at the smallest tau that reaches the target
+    reference = _bisection_tau(0.05, _runner_stream(0))[0]
+    search = corrpool.pcr._smallest_tau
+    for guided in (1, reference - 5, reference + 1, reference + 100):
+        starts = []
+
+        def forced_guide(beta, target, start):
+            starts.append(start)
+            return guided if len(starts) == 1 else search(beta, target, start)
+
+        monkeypatch.setattr(corrpool.pcr, "_smallest_tau", forced_guide)
+        assert calibrate_tau(0.05, DEFAULT_GMM, _runner_stream(0)) == reference
+        assert starts == [1, guided]
+
+
+def test_smallest_tau_is_independent_of_start():
+    # a monotone step curve: the answer is the first tau at which it reaches
+    # the target, whichever end of the range the search starts from
+    search = corrpool.pcr._smallest_tau
+    tau_max = corrpool.pcr._TAU_MAX
+    for answer in (1, 2, 175, 4096, 999_999, tau_max):
+        def beta(tau):
+            return 0.5 + 0.1 * (tau >= answer) + 1e-9 * tau
+
+        for start in (1, 2, answer - 1, answer, answer + 1, 12_345, tau_max):
+            if 1 <= start <= tau_max:
+                assert search(beta, 0.6, start) == answer
+    with pytest.raises(ValueError, match="unreachable"):
+        search(lambda tau: 0.0, 0.05, 3)
+
+
+def test_calibrate_tau_rebuilds_the_guide_histogram():
+    # at beta_bar = 0.5 tau is in the tens of thousands, so the guide's bound
+    # L = 8 K_c is raised several times on the way up
+    for seed in (0, 1):
+        expected = _bisection_tau(0.5, _runner_stream(seed), draws=10**5)[0]
+        assert calibrate_tau(0.5, DEFAULT_GMM, _runner_stream(seed), draws=10**5) == expected
 
 
 def test_calibrate_tau_bracket_ends(monkeypatch):
