@@ -18,6 +18,7 @@ from .errors import ConfigError, InfeasibleScenarioError
 from .pcr import calibrate_tau, check_calibration
 from .runner import (
     ScenarioConfig,
+    calibration_rng,
     format_number,
     replication_rows,
     run_scenario,
@@ -118,10 +119,9 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError("--beta-bar needs at least one target")
     for target in targets:
         check_calibration(target, args.draws)
-    rng = np.random.default_rng(args.seed)
     rows = []
     for target in targets:
-        tau = calibrate_tau(target, DEFAULT_GMM, rng, draws=args.draws)
+        tau = calibrate_tau(target, DEFAULT_GMM, calibration_rng(args.seed), draws=args.draws)
         rows.append({"target_beta_bar": target, "tau": tau})
         print(f"beta_bar={format_number(target)} -> tau={tau}")
     if args.output:

@@ -49,8 +49,6 @@ from scipy.special import betainc
 from .viral import GmmParams, sample_viral_load
 
 _SURE_POSITIVE = 1.0 - 1e-12
-# Exact binomial sampling below this mean count; Poisson approximation above.
-_EXACT_MEAN_COUNT = 1e4
 # Upper end of calibrate_tau's search range.
 _TAU_MAX = 10**7
 
@@ -157,9 +155,9 @@ def _loads(total_load) -> np.ndarray:
 def draw_positive(total_load, pool_size, tau: int, rng: np.random.Generator):
     """Sample pooled-test outcomes for an array of total loads.
 
-    Counts with mean K*p up to 1e4 are drawn from the exact binomial; larger
-    means use a Poisson approximation, except that loads whose analytic tail
-    exceeds 1 - 1e-12 are declared positive outright.
+    Loads whose analytic tail exceeds 1 - 1e-12 are declared positive
+    outright and counts below tau negative; every other count is drawn from
+    the exact binomial.
     """
     total_load = np.atleast_1d(_loads(total_load))
     K = np.rint(total_load)
@@ -167,16 +165,10 @@ def draw_positive(total_load, pool_size, tau: int, rng: np.random.Generator):
     tail = binomial_tail(K, p, tau)
 
     out = tail > _SURE_POSITIVE
-    mean_count = K * p
     undecided = ~out & (K >= tau)
-    small = undecided & (mean_count <= _EXACT_MEAN_COUNT)
-    if np.any(small):
-        m = rng.binomial(K[small].astype(np.int64), p[small])
-        out[small] = m >= tau
-    large = undecided & (mean_count > _EXACT_MEAN_COUNT)
-    if np.any(large):
-        m = rng.poisson(mean_count[large])
-        out[large] = m >= tau
+    if np.any(undecided):
+        m = rng.binomial(K[undecided].astype(np.int64), p[undecided])
+        out[undecided] = m >= tau
     return out
 
 

@@ -53,6 +53,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def calibration_rng(master_seed: int) -> np.random.Generator:
+    """The stream tau is calibrated on for a master seed, at every entry point."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, _TAG_CALIBRATION)))
+
+
 @dataclass
 class ScenarioConfig:
     """Validated scenario parameters; build from a dict with from_dict."""
@@ -142,8 +147,7 @@ class ScenarioConfig:
         """Explicit tau, or tau calibrated to beta_bar on a dedicated stream."""
         if self.tau is not None:
             return int(self.tau)
-        rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, _TAG_CALIBRATION)))
-        return calibrate_tau(self.beta_bar, self.gmm, rng)
+        return calibrate_tau(self.beta_bar, self.gmm, calibration_rng(self.master_seed))
 
     def resolve_sensitivity(self, tau: int):
         """The PCR model named by sensitivity_variant; the only parser of that field."""

@@ -13,7 +13,12 @@ combines a normal interval for E[Z] with a bootstrap percentile interval for
 E[X] into a conservative ratio interval. The sampler screens out certain
 hits: a load at or above the individual test's certain count K_c, about nine
 in ten at beta_bar = 5%, is a hit without evaluating its tail, and the result
-is bit-identical to evaluating every tail (see _sample_conditional).
+is bit-identical to evaluating every tail (see _sample_conditional). It draws
+up to 4e6 loads per chunk and their accept uniforms in blocks of 2**16, so a
+chunk holds its loads (8 bytes each) plus 512 KB of uniforms and the indices
+and uniforms of the loads under K_c. By tracemalloc, drawing the loads peaks
+at about 17 bytes per load and the whole miss pass at about 19 bytes per
+chunk load (tests/test_theory.py holds it under 24).
 """
 
 from dataclasses import dataclass
@@ -24,6 +29,8 @@ from .pcr import PiecewiseSensitivity, _certain_count, binomial_tail, capture_pr
 from .viral import GmmParams, sample_viral_load
 
 _POOL_SIZE = 2  # the counterexample is built on pools of two
+# Uniforms per block of the delta' sampler's accept pass: 512 KB of doubles.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,33 @@ class DeltaPrimeEstimate:
     ci_reliable: bool = True
 
 
+def _accept(v, keep_missed, p_ind, tau, certain, rng, buf):
+    """The loads of one chunk that the individual test misses (keep_missed) or
+    hits, in order, drawing one uniform per load from rng.
+
+    The uniforms are drawn buf.size at a time into buf, which gives the same
+    doubles in the same stream order as one rng.random(v.size). A block keeps
+    only the indices and uniforms of its loads under the certain count, and
+    one binomial_tail call decides them all.
+    """
+    low_index = []
+    low_u = []
+    for start in range(0, v.size, buf.size):
+        u = buf[: v.size - start]
+        rng.random(out=u)
+        index = np.flatnonzero(v[start : start + u.size] < certain)
+        low_u.append(u[index])
+        index += start
+        low_index.append(index)
+    low = np.concatenate(low_index)
+    low_hit = np.concatenate(low_u) < binomial_tail(np.rint(v[low]), p_ind, tau)
+    if keep_missed:
+        return v[low[~low_hit]]
+    hit = v >= certain
+    hit[low[low_hit]] = True
+    return v[hit]
+
+
 def _sample_conditional(
     gmm: GmmParams,
     tau: int,
@@ -129,9 +163,14 @@ def _sample_conditional(
 
     A load at or above the certain count K_c of the individual test is a hit
     without evaluating its tail: K_c is an integer, so rint(v) >= K_c, the
-    tail is exactly 1.0 and every uniform lies below it. Only the loads under
-    K_c go through rint and binomial_tail; each chunk still draws one uniform
-    per load, so the kept loads and the stream position are the same.
+    tail is exactly 1.0 and every uniform lies below it. Each chunk draws its
+    loads in one call and then one uniform per load in blocks of _BLOCK (see
+    _accept). Besides its loads a chunk holds block-sized scratch, the
+    indices and uniforms of the loads under K_c (about one in ten at
+    beta_bar = 5%) and, in the hit pass, a one-byte-per-load mask; it never
+    holds a chunk-sized array of uniforms, and its loads are freed before the
+    next chunk is drawn. The kept loads and the stream position are those of
+    drawing the chunk's uniforms at once and evaluating every load's tail.
     """
     p_ind = float(capture_probability(1))
     certain = _certain_count(p_ind, tau)
@@ -139,14 +178,9 @@ def _sample_conditional(
     total_kept = 0
     drawn = 0
     chunk = max(min(needed * 4, 4_000_000), 100_000)
+    buf = np.empty(_BLOCK)
     while total_kept < needed and drawn < max_draws:
-        v = sample_viral_load(gmm, rng, size=chunk)
-        u = rng.random(chunk)
-        hit = v >= certain
-        low = np.flatnonzero(~hit)
-        hit[low] = u[low] < binomial_tail(np.rint(v[low]), p_ind, tau)
-        del u
-        sel = v[~hit] if keep_missed else v[hit]
+        sel = _accept(sample_viral_load(gmm, rng, size=chunk), keep_missed, p_ind, tau, certain, rng, buf)
         kept.append(sel)
         total_kept += sel.size
         drawn += chunk

@@ -128,6 +128,19 @@ def test_sampled_outcomes_match_analytic_tail():
         assert abs(hits / trials - analytic) < max(3 * se, 1e-3)
 
 
+def test_sampled_outcomes_match_analytic_tail_at_a_high_threshold():
+    # at a beta_bar = 0.5-scale tau the undecided counts have means near 28,500,
+    # and their draws still follow the exact binomial tail
+    tau = 28_500
+    rng = np.random.default_rng(8)
+    trials = 10**5
+    for load in (5.66e5, 5.7e5, 5.74e5):
+        analytic = RealisticSensitivity(tau).success_probability(load, 1)
+        hits = draw_positive(np.full(trials, load), 1, tau, rng).sum()
+        se = np.sqrt(analytic * (1 - analytic) / trials)
+        assert abs(hits / trials - analytic) < 3 * se
+
+
 def test_calibrate_tau_hits_target():
     rng = np.random.default_rng(11)
     tau = calibrate_tau(0.05, DEFAULT_GMM, rng)

@@ -413,6 +413,19 @@ def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv):
     assert captured.err.startswith(("error: ", "configuration error: ")) and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cli_calibrate_uses_the_runner_calibration_stream(tmp_path, seed):
+    # the same (seed, beta_bar) gives the same tau from calibrate as from a
+    # scenario run at that master seed
+    targets = (0.025, 0.05, 0.2)
+    out = tmp_path / "tau.csv"
+    assert main(["calibrate", "--seed", str(seed), "--beta-bar", ",".join(map(str, targets)),
+                 "--output", str(out)]) == 0
+    got = [int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    expected = [ScenarioConfig(beta_bar=b, master_seed=seed).resolve_tau() for b in targets]
+    assert got == expected
+
+
 def test_cli_exit_code_infeasible():
     rc = main(
         ["simulate", "--alpha", "0.9", "--q", "0.0", "--tau", "174",

@@ -1,6 +1,7 @@
 """Tests for the counterexample closed forms and the delta' bound estimator."""
 
 import copy
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -110,8 +111,19 @@ def _sample_conditional_full_evaluation(gmm, tau, needed, keep_missed, rng, max_
 
 
 @pytest.mark.parametrize("keep_missed", [True, False], ids=["missed", "hit"])
-@pytest.mark.parametrize("tau, needed, max_draws", [(174, 30_000, 10**9), (1241, 10**5, 10**5)])
-def test_sample_conditional_equals_full_evaluation(keep_missed, tau, needed, max_draws):
+@pytest.mark.parametrize(
+    "tau, needed, max_draws, block",
+    [
+        pytest.param(174, 30_000, 10**9, corrpool.theory._BLOCK, id="174-30000-1000000000"),
+        pytest.param(1241, 10**5, 10**5, corrpool.theory._BLOCK, id="1241-100000-100000"),
+        # 120,000-load chunks: whole blocks, a short last block, one short block
+        pytest.param(174, 30_000, 10**9, 30_000, id="174-30000-1000000000-exact_blocks"),
+        pytest.param(174, 30_000, 10**9, 1007, id="174-30000-1000000000-ragged_blocks"),
+        pytest.param(174, 30_000, 10**9, 2**17, id="174-30000-1000000000-one_short_block"),
+    ],
+)
+def test_sample_conditional_equals_full_evaluation(monkeypatch, keep_missed, tau, needed, max_draws, block):
+    monkeypatch.setattr(corrpool.theory, "_BLOCK", block)
     rng = np.random.default_rng(9)
     ref = copy.deepcopy(rng)
     got = _sample_conditional(DEFAULT_GMM, tau, needed, keep_missed, rng, max_draws)
@@ -119,6 +131,26 @@ def test_sample_conditional_equals_full_evaluation(keep_missed, tau, needed, max
     assert got.size > 0
     assert got.tobytes() == expected.tobytes()
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "keep_missed, needed, bytes_per_load",
+    [(True, 600_000, 24.0), (False, 250_000, 25.0)],
+    ids=["missed", "hit"],
+)
+def test_sample_conditional_peak_memory(keep_missed, needed, bytes_per_load):
+    # a chunk of 4 * needed loads holds the loads plus block-sized scratch,
+    # never a chunk-sized array of uniforms, and the loads are freed before
+    # the next chunk is drawn
+    chunk = 4 * needed
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        _sample_conditional(DEFAULT_GMM, 176, needed, keep_missed, rng, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / chunk < bytes_per_load
 
 
 def test_delta_prime_draws_every_load_through_the_theory_sampler(monkeypatch):
