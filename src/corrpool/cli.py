@@ -5,9 +5,16 @@ optimize. Scenario parameters come from an optional JSON config file; CLI
 flags override file values. Exit codes: 0 success, 2 configuration error,
 3 infeasible scenario. Worker count for replication-level parallelism comes
 from the CORRPOOL_WORKERS environment variable.
+
+calibrate and delta-bound check every target and cell first and then make one
+calibrate_tau call, so one draw of calibration loads serves every target of
+the command. Each delta-bound cell then estimates delta' on its own copy of
+the generator as calibration left it, so a --full-table cell equals the same
+cell run alone.
 """
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import asdict, fields
@@ -119,9 +126,9 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError("--beta-bar needs at least one target")
     for target in targets:
         check_calibration(target, args.draws)
+    taus = calibrate_tau(targets, DEFAULT_GMM, calibration_rng(args.seed), draws=args.draws)
     rows = []
-    for target in targets:
-        tau = calibrate_tau(target, DEFAULT_GMM, calibration_rng(args.seed), draws=args.draws)
+    for target, tau in zip(targets, taus):
         rows.append({"target_beta_bar": target, "tau": tau})
         print(f"beta_bar={format_number(target)} -> tau={tau}")
     if args.output:
@@ -138,18 +145,19 @@ def _cmd_delta_bound(args) -> int:
     for n, beta_bar in cells:
         check_calibration(beta_bar)
         check_delta_prime(n, args.b, args.bootstrap_reps)
+    betas = list(dict.fromkeys(beta_bar for _, beta_bar in cells))
     rng = np.random.default_rng(args.seed)
+    tau = dict(zip(betas, calibrate_tau(betas, DEFAULT_GMM, rng)))
     rows = []
     for n, beta_bar in cells:
-        tau = calibrate_tau(beta_bar, DEFAULT_GMM, rng)
         est = estimate_delta_prime(
             n,
             beta_bar,
-            tau,
+            tau[beta_bar],
             DEFAULT_GMM,
             B=args.b,
             bootstrap_reps=args.bootstrap_reps,
-            rng=rng,
+            rng=copy.deepcopy(rng),
         )
         rows.append(
             {

@@ -23,10 +23,11 @@ total_load / pool_size, and their draws compare one uniform per test with it.
 
 All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
-individual-test false-negative rate over infected loads hits a target. The
-search runs first on a histogram of the distinct counts, which gives the same
-curve up to summation order, and then confirms its tau on the full sample,
-usually in two probes.
+individual-test false-negative rate over infected loads hits a target. One
+call takes every target of a command and draws the infected loads once for
+all of them. Each target's search runs first on a histogram of the distinct
+counts, which gives the same curve up to summation order, and then confirms
+its tau on the full sample, usually in two probes.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
@@ -242,10 +243,10 @@ class PiecewiseSensitivity(_MeanLoadSensitivity):
         )
 
 
-def check_calibration(target_beta_bar: float, draws: int = 10**6):
-    """Raise ValueError unless calibrate_tau accepts this target and draw count."""
-    if not 0 < target_beta_bar <= 0.5:
-        raise ValueError(f"target_beta_bar must be in (0, 0.5], got {target_beta_bar!r}")
+def check_calibration(beta_bar: float, draws: int = 10**6):
+    """Raise ValueError unless calibrate_tau accepts this target FNR and draw count."""
+    if not 0 < beta_bar <= 0.5:
+        raise ValueError(f"beta_bar must be in (0, 0.5], got {beta_bar!r}")
     if draws < 10**5:
         raise ValueError("calibration needs at least 1e5 draws")
 
@@ -326,17 +327,20 @@ def _guide_tau(K, p, target):
 
 
 def calibrate_tau(
-    target_beta_bar: float,
+    targets,
     gmm: GmmParams,
     rng: np.random.Generator,
     draws: int = 10**6,
-) -> int:
-    """Smallest integer tau whose estimated individual-test FNR reaches the target.
+) -> list[int]:
+    """For each target, the smallest integer tau whose estimated individual-test
+    FNR reaches it.
 
-    The FNR estimate beta_bar(tau) = mean of 1 - P(positive | V) over `draws`
-    infected viral loads is computed on one common set of draws for every tau
-    candidate, making the curve monotone in the realized sample, so the search
-    is exact and the result deterministic given the rng seed.
+    Every target is checked before anything is drawn. The FNR estimate
+    beta_bar(tau) = mean of 1 - P(positive | V) over `draws` infected viral
+    loads is computed on one common set of draws for every target and tau
+    candidate, making the curve monotone in the realized sample, so each
+    search is exact and the result deterministic given the rng seed. A target
+    gets the tau it would get from a call of its own on the same rng state.
 
     A guide curve (see _guide_tau) locates tau first without passing over
     every draw: it sums the same per-count tails over a histogram of the
@@ -346,11 +350,12 @@ def calibrate_tau(
     neighbour below. Only a target that is unreachable below _TAU_MAX is
     decided by the guide alone, which raises ValueError.
     """
-    check_calibration(target_beta_bar, draws)
+    for target in targets:
+        check_calibration(target, draws)
     K = np.rint(sample_viral_load(gmm, rng, size=draws))
     p = float(capture_probability(1))
 
     def beta_bar(tau):
         return 1.0 - binomial_tail(K, p, tau).mean()
 
-    return _smallest_tau(beta_bar, target_beta_bar, _guide_tau(K, p, target_beta_bar))
+    return [_smallest_tau(beta_bar, target, _guide_tau(K, p, target)) for target in targets]

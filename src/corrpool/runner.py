@@ -32,7 +32,13 @@ import numpy as np
 from .dorfman import run_dorfman
 from .errors import ConfigError
 from .metrics import ReplicationSummary, estimate_fpr, summarize_replications
-from .pcr import PiecewiseSensitivity, RealisticSensitivity, StepSensitivity, calibrate_tau
+from .pcr import (
+    PiecewiseSensitivity,
+    RealisticSensitivity,
+    StepSensitivity,
+    calibrate_tau,
+    check_calibration,
+)
 from .pooling import assign_correlated, assign_naive
 from .population import HOUSEHOLD_DISTS, HouseholdDist, generate_population, household_infection_prob
 from .viral import DEFAULT_GMM, GmmParams
@@ -91,13 +97,15 @@ class ScenarioConfig:
             raise ConfigError(f"pad_last_pool must be true or false, got {self.pad_last_pool!r}")
         if self.tau is None and self.beta_bar is None:
             raise ConfigError("either tau or beta_bar must be given")
-        if self.tau is not None:
-            try:
+        try:
+            if self.tau is not None:
                 RealisticSensitivity(self.tau)  # the one check of a threshold, whatever the variant
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc)) from exc
-        if self.beta_bar is not None and not 0 < self.beta_bar <= 0.5:
-            raise ConfigError("beta_bar must be in (0, 0.5]")
+            if self.beta_bar is not None:
+                check_calibration(self.beta_bar)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if not isinstance(self.gmm, GmmParams):
+            raise ConfigError(f"gmm must be an object with weights, mus and sigmas, got {self.gmm!r}")
         if not isinstance(self.strategies, (list, tuple)):
             raise ConfigError(f"strategies must be a list of strategy names, got {self.strategies!r}")
         for s in self.strategies:
@@ -147,7 +155,8 @@ class ScenarioConfig:
         """Explicit tau, or tau calibrated to beta_bar on a dedicated stream."""
         if self.tau is not None:
             return int(self.tau)
-        return calibrate_tau(self.beta_bar, self.gmm, calibration_rng(self.master_seed))
+        (tau,) = calibrate_tau([self.beta_bar], self.gmm, calibration_rng(self.master_seed))
+        return tau
 
     def resolve_sensitivity(self, tau: int):
         """The PCR model named by sensitivity_variant; the only parser of that field."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from corrpool.dorfman import run_dorfman
-from corrpool.metrics import estimate_fpr
+from corrpool.metrics import _mean_se, estimate_fpr
 from corrpool.pcr import RealisticSensitivity, calibrate_tau
 from corrpool.pooling import assign_correlated, assign_naive
 from corrpool.population import HOUSEHOLD_DISTS, HouseholdDist, generate_population
@@ -34,11 +34,6 @@ N_POP = 12000
 BASE = dict(q=0.166, household_dist="US", population_size=N_POP)
 
 
-def _mean_se(x):
-    x = np.asarray(x, dtype=float)
-    return x.mean(), x.std(ddof=1) / np.sqrt(x.size)
-
-
 def _run(alpha, pool_size, tau, replications, seed, variant=None):
     kwargs = dict(BASE, alpha=alpha, pool_size=pool_size, tau=tau, beta_bar=None,
                   replications=replications, master_seed=seed)
@@ -54,7 +49,7 @@ def tau_by_target():
     out = {}
     for i, target in enumerate((0.025, 0.05, 0.1, 0.2)):
         rng = np.random.default_rng(1000 + i)
-        out[target] = calibrate_tau(target, DEFAULT_GMM, rng)
+        (out[target],) = calibrate_tau([target], DEFAULT_GMM, rng)
     return out
 
 

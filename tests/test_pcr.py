@@ -143,7 +143,7 @@ def test_sampled_outcomes_match_analytic_tail_at_a_high_threshold():
 
 def test_calibrate_tau_hits_target():
     rng = np.random.default_rng(11)
-    tau = calibrate_tau(0.05, DEFAULT_GMM, rng)
+    (tau,) = calibrate_tau([0.05], DEFAULT_GMM, rng)
     assert abs(tau - 174) <= 0.03 * 174
 
 
@@ -217,7 +217,7 @@ def _bisection_tau(beta_bar, rng, draws=10**6):
 def test_calibrate_tau_matches_unscreened_kernel(seed, beta_bar, expected_tau):
     # expected values were calibrated with every tail evaluated through betainc
     rng = np.random.default_rng(seed)
-    assert calibrate_tau(beta_bar, DEFAULT_GMM, rng) == expected_tau
+    assert calibrate_tau([beta_bar], DEFAULT_GMM, rng) == [expected_tau]
     assert _bisection_tau(beta_bar, np.random.default_rng(seed))[0] == expected_tau
 
 
@@ -269,9 +269,10 @@ def _runner_stream(seed):
     "seed, expected", [(0, [108, 176, 343, 1234]), (1, [109, 175, 343, 1241]), (2, [109, 174, 341, 1236])]
 )
 def test_calibrate_tau_on_the_runner_stream(seed, expected):
-    # the expected values were recorded with a bisection of [1, 10**7]
+    # the expected values were recorded with a bisection of [1, 10**7]; one
+    # call searches every target on one draw, the bisection draws per target
     betas = (0.025, 0.05, 0.1, 0.2)
-    assert [calibrate_tau(beta_bar, DEFAULT_GMM, _runner_stream(seed)) for beta_bar in betas] == expected
+    assert calibrate_tau(betas, DEFAULT_GMM, _runner_stream(seed)) == expected
     assert [_bisection_tau(beta_bar, _runner_stream(seed))[0] for beta_bar in betas] == expected
 
 
@@ -287,7 +288,7 @@ def test_calibrate_tau_probes_fewer_tau_than_bisection(monkeypatch):
         return tail(counts, p, tau)
 
     monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
-    tau = calibrate_tau(0.05, DEFAULT_GMM, _runner_stream(0))
+    (tau,) = calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0))
     monkeypatch.undo()
     reference, reference_probes = _bisection_tau(0.05, _runner_stream(0))
     assert tau == reference == 176
@@ -308,7 +309,7 @@ def test_calibrate_tau_ignores_a_wrong_guide(monkeypatch):
             return guided if len(starts) == 1 else search(beta, target, start)
 
         monkeypatch.setattr(corrpool.pcr, "_smallest_tau", forced_guide)
-        assert calibrate_tau(0.05, DEFAULT_GMM, _runner_stream(0)) == reference
+        assert calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0)) == [reference]
         assert starts == [1, guided]
 
 
@@ -333,16 +334,16 @@ def test_calibrate_tau_rebuilds_the_guide_histogram():
     # L = 8 K_c is raised several times on the way up
     for seed in (0, 1):
         expected = _bisection_tau(0.5, _runner_stream(seed), draws=10**5)[0]
-        assert calibrate_tau(0.5, DEFAULT_GMM, _runner_stream(seed), draws=10**5) == expected
+        assert calibrate_tau([0.5], DEFAULT_GMM, _runner_stream(seed), draws=10**5) == [expected]
 
 
 def test_calibrate_tau_bracket_ends(monkeypatch):
     # nearly every load rounds to zero copies: already tau = 1 misses the target
     rng = np.random.default_rng(0)
-    assert calibrate_tau(0.05, GmmParams((1.0,), (-3.0,), (0.1,)), rng, draws=10**5) == 1
+    assert calibrate_tau([0.05], GmmParams((1.0,), (-3.0,), (0.1,)), rng, draws=10**5) == [1]
     # every load holds ~10**12 copies: no tau up to the search limit misses enough
     with pytest.raises(ValueError, match="unreachable"):
-        calibrate_tau(0.05, GmmParams((1.0,), (12.0,), (0.1,)), np.random.default_rng(0), draws=10**5)
+        calibrate_tau([0.05], GmmParams((1.0,), (12.0,), (0.1,)), np.random.default_rng(0), draws=10**5)
     probed = []
     tail = corrpool.pcr.binomial_tail
 
@@ -351,15 +352,19 @@ def test_calibrate_tau_bracket_ends(monkeypatch):
         return tail(counts, p, tau)
 
     monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
-    tau = calibrate_tau(0.05, DEFAULT_GMM, np.random.default_rng(0), draws=10**5)
+    (tau,) = calibrate_tau([0.05], DEFAULT_GMM, np.random.default_rng(0), draws=10**5)
     assert probed[0] == 1 and max(probed) <= 2 * tau
 
 
-def test_calibrate_tau_rejects_bad_target():
-    with pytest.raises(ValueError):
-        calibrate_tau(0.0, DEFAULT_GMM, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        calibrate_tau(0.6, DEFAULT_GMM, np.random.default_rng(0))
+def test_calibrate_tau_rejects_bad_target(monkeypatch):
+    # every target is checked before the loads are drawn
+    def never_sample(*args, **kwargs):
+        raise AssertionError("loads drawn before every target was checked")
+
+    monkeypatch.setattr(corrpool.pcr, "sample_viral_load", never_sample)
+    for targets in ([0.0], [0.6], [0.05, 0.6]):
+        with pytest.raises(ValueError):
+            calibrate_tau(targets, DEFAULT_GMM, np.random.default_rng(0))
 
 
 def test_params_validation():

@@ -3,14 +3,17 @@
 import json
 import os
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 import corrpool.cli
+import corrpool.pcr
 import corrpool.runner
 from corrpool.cli import build_parser, main
 from corrpool.errors import ConfigError
+from corrpool.pcr import calibrate_tau
 from corrpool.runner import (
     WORKERS_ENV,
     ScenarioConfig,
@@ -23,6 +26,8 @@ from corrpool.runner import (
     write_summary_json,
 )
 from corrpool.sir import optimize_pool_size
+from corrpool.theory import estimate_delta_prime
+from corrpool.viral import DEFAULT_GMM
 
 SMALL = dict(
     alpha=0.05,
@@ -50,6 +55,8 @@ def test_config_validates_ranges():
         ScenarioConfig(pool_size=0)
     with pytest.raises(ConfigError):
         ScenarioConfig(tau=None, beta_bar=None)
+    with pytest.raises(ConfigError, match=r"\(0, 0\.5\]"):
+        ScenarioConfig(beta_bar=0.7)
     with pytest.raises(ConfigError):
         ScenarioConfig(household_dist="ATLANTIS")
     with pytest.raises(ConfigError):
@@ -73,6 +80,8 @@ MALFORMED_CONFIGS = {
     "strategies_string": ("strategies", "naive"),
     "strategies_empty": ("strategies", []),
     "strategies_duplicate": ("strategies", ["naive", "naive"]),
+    "gmm_list": ("gmm", [1, 2, 3]),
+    "gmm_string": ("gmm", "abc"),
 }
 
 
@@ -424,6 +433,81 @@ def test_cli_calibrate_uses_the_runner_calibration_stream(tmp_path, seed):
     got = [int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     expected = [ScenarioConfig(beta_bar=b, master_seed=seed).resolve_tau() for b in targets]
     assert got == expected
+
+
+def test_cli_calibrate_draws_the_loads_once(monkeypatch, capsys):
+    sizes = []
+    sample = corrpool.pcr.sample_viral_load
+
+    def counting_sample(*args, **kwargs):
+        loads = sample(*args, **kwargs)
+        sizes.append(loads.size)
+        return loads
+
+    monkeypatch.setattr(corrpool.pcr, "sample_viral_load", counting_sample)
+    assert main(["calibrate", "--beta-bar", "0.025,0.05,0.1,0.2"]) == 0
+    assert sizes == [10**6]
+    assert capsys.readouterr().out.splitlines() == [
+        "beta_bar=0.025 -> tau=108",
+        "beta_bar=0.05 -> tau=176",
+        "beta_bar=0.1 -> tau=343",
+        "beta_bar=0.2 -> tau=1234",
+    ]
+
+
+# a delta' cell at B = 10**5 with 5 bootstrap replicates takes about 0.3 s
+_DELTA_SMALL = ["--b", "100000", "--bootstrap-reps", "5", "--seed", "0"]
+
+
+def test_delta_bound_full_table_rows_equal_cells_run_alone(monkeypatch, tmp_path):
+    ns, betas = (2, 4), (0.05, 0.1)
+    monkeypatch.setattr(corrpool.cli, "_DELTA_TABLE_NS", ns)
+    monkeypatch.setattr(corrpool.cli, "_DELTA_TABLE_BETAS", betas)
+    calls = []
+    calibrate = corrpool.cli.calibrate_tau
+
+    def counting_calibrate(*args, **kwargs):
+        calls.append(args)
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(corrpool.cli, "calibrate_tau", counting_calibrate)
+    table = tmp_path / "table.csv"
+    assert main(["delta-bound", "--full-table", *_DELTA_SMALL, "--output", str(table)]) == 0
+    assert len(calls) == 1
+    header, *rows = table.read_text().splitlines()
+    assert len(rows) == len(ns) * len(betas)
+    for (n, beta_bar), row in zip(product(ns, betas), rows):
+        cell = tmp_path / f"cell_{n}_{beta_bar}.csv"
+        argv = ["delta-bound", "--n", str(n), "--beta-bar", str(beta_bar), *_DELTA_SMALL, "--output", str(cell)]
+        assert main(argv) == 0
+        assert cell.read_text().splitlines() == [header, row]
+
+
+def test_delta_bound_cell_keeps_its_bytes(tmp_path):
+    # reference: calibration and the estimate drawn in turn from one
+    # default_rng(seed), the stream perfbench's golden delta_bound_n6 hash pins
+    n, beta_bar, B, reps, seed = 4, 0.1, 100000, 5, 0
+    out = tmp_path / "cell.csv"
+    argv = [
+        "delta-bound", "--n", str(n), "--beta-bar", str(beta_bar), "--b", str(B),
+        "--bootstrap-reps", str(reps), "--seed", str(seed), "--output", str(out),
+    ]
+    assert main(argv) == 0
+    rng = np.random.default_rng(seed)
+    (tau,) = calibrate_tau([beta_bar], DEFAULT_GMM, rng)
+    est = estimate_delta_prime(n, beta_bar, tau, DEFAULT_GMM, B=B, bootstrap_reps=reps, rng=rng)
+    reference = tmp_path / "reference.csv"
+    row = {
+        "n": n,
+        "beta_bar": beta_bar,
+        "delta_prime": est.delta_prime_hat,
+        "ci_low": est.ci_low,
+        "ci_high": est.ci_high,
+        "achieved_b": est.achieved_b,
+        "ci_reliable": est.ci_reliable,
+    }
+    write_csv([row], str(reference))
+    assert out.read_bytes() == reference.read_bytes()
 
 
 def test_cli_exit_code_infeasible():

@@ -72,7 +72,7 @@ def test_delta_prime_smoke():
     # small-B smoke test; the acceptance suite pins the table values
     rng = np.random.default_rng(0)
     beta_bar = 0.05
-    tau = calibrate_tau(beta_bar, DEFAULT_GMM, rng, draws=2 * 10**5)
+    (tau,) = calibrate_tau([beta_bar], DEFAULT_GMM, rng, draws=2 * 10**5)
     est = estimate_delta_prime(
         6, beta_bar, tau, DEFAULT_GMM, B=10**5, bootstrap_reps=200, rng=rng
     )
