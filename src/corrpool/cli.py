@@ -221,8 +221,9 @@ def _cmd_sir(args) -> int:
 def _cmd_optimize(args) -> int:
     config = _build_config(args)
     candidates = _parse_ints(args.candidates)
-    results = optimize_pool_size(config, candidates, b_i=args.b_i, b_r=args.b_r)
+    tau, results = optimize_pool_size(config, candidates, b_i=args.b_i, b_r=args.b_r)
     payload = {strategy: asdict(r) for strategy, r in results.items()}
+    payload["config"] = config.echo(tau)
     if "naive" in results and "correlated" in results:
         payload["consumption_reduction"] = consumption_reduction(
             results["naive"].objective, results["correlated"].objective

@@ -25,9 +25,9 @@ All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target. One
 call takes every target of a command and draws the infected loads once for
-all of them. Each target's search runs first on a histogram of the distinct
-counts, which gives the same curve up to summation order, and then confirms
-its tau on the full sample, usually in two probes.
+all of them. Each target's search runs upward from tau = 1 on a histogram of
+the distinct counts, which gives the same curve up to summation order, and
+the full sample then checks its tau exactly at tau - 1 and tau.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
@@ -251,35 +251,25 @@ def check_calibration(beta_bar: float, draws: int = 10**6):
         raise ValueError("calibration needs at least 1e5 draws")
 
 
-def _smallest_tau(beta, target, start):
+def _smallest_tau(beta, target):
     """Smallest integer tau in [1, _TAU_MAX] with beta(tau) >= target, for a
-    non-decreasing beta, searched outward from start.
+    non-decreasing beta.
 
-    From start the search gallops with a doubling step, down while beta
-    reaches the target and up while it misses, until a bracket lo < hi with
-    beta(lo) < target <= beta(hi); it returns 1 if even beta(1) reaches the
-    target and raises ValueError if beta(_TAU_MAX) misses it. It then narrows
-    the bracket by safeguarded interpolation: the next probe is the ceiling
-    of the linear guess between the bracket ends, clamped inside the bracket,
-    and a probe that fails to halve the bracket is followed by a bisection
-    step. From start = 1 it probes tau = 1, 2, 4, 8, ... By monotonicity the
-    answer does not depend on start; only the number of probes does.
+    The search probes tau = 1, 2, 4, 8, ... up to _TAU_MAX until beta reaches
+    the target; it returns 1 if beta(1) does and raises ValueError if
+    beta(_TAU_MAX) misses it. It then narrows the bracket by safeguarded
+    interpolation: the next probe is the ceiling of the linear guess between
+    the bracket ends, clamped inside the bracket, and a probe that fails to
+    halve the bracket is followed by a bisection step.
     """
-    tau, b = start, beta(start)
-    reached = b >= target
-    step = 1
-    while True:
-        if reached and tau == 1:
-            return 1
-        if not reached and tau == _TAU_MAX:
+    # beta(0) = 0 < target: at tau = 0 every test is positive
+    lo, b_lo, hi, b_hi = 0, 0.0, 1, beta(1)
+    while b_hi < target:
+        if hi == _TAU_MAX:
             raise ValueError(f"target FNR {target} unreachable with tau <= {_TAU_MAX}")
-        nxt = max(tau - step, 1) if reached else min(tau + step, _TAU_MAX)
-        b_nxt = beta(nxt)
-        if (b_nxt >= target) != reached:
-            break
-        tau, b = nxt, b_nxt
-        step *= 2
-    lo, b_lo, hi, b_hi = (nxt, b_nxt, tau, b) if reached else (tau, b, nxt, b_nxt)
+        lo, b_lo = hi, b_hi
+        hi = min(2 * hi, _TAU_MAX)
+        b_hi = beta(hi)
     # invariant: b_lo = beta(lo) < target <= beta(hi) = b_hi
     bisect = False
     while hi - lo > 1:
@@ -323,7 +313,7 @@ def _guide_tau(K, p, target):
             n_above = K.size - below.size
         return 1.0 - (n_above + counts @ binomial_tail(values, p, tau)) / K.size
 
-    return _smallest_tau(guide, target, 1)
+    return _smallest_tau(guide, target)
 
 
 def calibrate_tau(
@@ -345,10 +335,10 @@ def calibrate_tau(
     A guide curve (see _guide_tau) locates tau first without passing over
     every draw: it sums the same per-count tails over a histogram of the
     distinct counts, so it differs from beta_bar only by the order of the
-    summation. beta_bar is then searched from the guide's answer, so its bits
-    still decide tau, usually in two probes: the guide's tau and its
-    neighbour below. Only a target that is unreachable below _TAU_MAX is
-    decided by the guide alone, which raises ValueError.
+    summation. beta_bar's bits still decide tau: from the guide's tau an
+    exact check steps down while beta_bar(tau - 1) reaches the target, then up
+    while beta_bar(tau) misses it, raising ValueError past _TAU_MAX. A right
+    guide costs two full-sample passes, at tau - 1 and tau.
     """
     for target in targets:
         check_calibration(target, draws)
@@ -358,4 +348,13 @@ def calibrate_tau(
     def beta_bar(tau):
         return 1.0 - binomial_tail(K, p, tau).mean()
 
-    return [_smallest_tau(beta_bar, target, _guide_tau(K, p, target)) for target in targets]
+    def exact(tau, target):
+        while tau > 1 and beta_bar(tau - 1) >= target:
+            tau -= 1
+        while beta_bar(tau) < target:
+            if tau == _TAU_MAX:
+                raise ValueError(f"target FNR {target} unreachable with tau <= {_TAU_MAX}")
+            tau += 1
+        return tau
+
+    return [exact(_guide_tau(K, p, target), target) for target in targets]

@@ -57,6 +57,8 @@ def simulate_sir(
     state: SirState, b_i: float, b_r: float, f: float, sensitivity: float, days: int
 ) -> list[SirState]:
     """Trajectory of `days` updates, starting from (and including) `state`."""
+    if days < 0:
+        raise ValueError(f"days must be non-negative, got {days}")
     path = [state]
     for _ in range(days):
         state = sir_step(state, b_i, b_r, f, sensitivity)
@@ -106,20 +108,23 @@ def optimize_pool_size(
     candidate_sizes,
     b_i: float | None = None,
     b_r: float | None = None,
-) -> dict[str, PolicyResult]:
+) -> tuple[int, dict[str, PolicyResult]]:
     """Pick the pool size maximizing mean sensitivity x mean efficiency per strategy.
 
+    Returns the tau every candidate ran at and the best result per strategy.
     Every candidate size reuses the same replication seeds (common random
     numbers), so candidates are compared on identical populations. Ties break
-    toward the smaller pool size. When b_i and b_r are given, the critical
-    screening frequency and the relative daily test consumption (proportional
-    to 1/objective) are filled in.
+    toward the smaller pool size. The relative daily test consumption
+    (proportional to 1/objective) is always filled in; the critical screening
+    frequency only when b_i and b_r are given, which must come together.
     """
     candidate_sizes = sorted(set(int(n) for n in candidate_sizes))
     if config.replications < 500:
         raise ValueError("pool-size optimization needs at least 500 replications")
+    if (b_i is None) != (b_r is None):
+        raise ValueError("b_i and b_r must be given together")
 
-    _, results = run_cells(config, [(config.alpha, n) for n in candidate_sizes])
+    tau, results = run_cells(config, [(config.alpha, n) for n in candidate_sizes])
     best: dict[str, PolicyResult] = {}
     for n, tallies in zip(candidate_sizes, results):
         for strategy, t in tallies.items():
@@ -136,9 +141,9 @@ def optimize_pool_size(
                 )
     for result in best.values():
         result.relative_consumption = 1.0 / result.objective
-        if b_i is not None and b_r is not None:
+        if b_i is not None:
             result.f_star = critical_frequency(b_i, b_r, result.sensitivity)
-    return best
+    return tau, best
 
 
 def consumption_reduction(objective_naive: float, objective_correlated: float) -> float:

@@ -130,7 +130,8 @@ def _accept(v, keep_missed, p_ind, tau, certain, rng, buf):
     The uniforms are drawn buf.size at a time into buf, which gives the same
     doubles in the same stream order as one rng.random(v.size). A block keeps
     only the indices and uniforms of its loads under the certain count, and
-    one binomial_tail call decides them all.
+    one binomial_tail call finds the misses among them; the hit pass deletes
+    those from the chunk.
     """
     low_index = []
     low_u = []
@@ -142,12 +143,8 @@ def _accept(v, keep_missed, p_ind, tau, certain, rng, buf):
         index += start
         low_index.append(index)
     low = np.concatenate(low_index)
-    low_hit = np.concatenate(low_u) < binomial_tail(np.rint(v[low]), p_ind, tau)
-    if keep_missed:
-        return v[low[~low_hit]]
-    hit = v >= certain
-    hit[low[low_hit]] = True
-    return v[hit]
+    missed = low[np.concatenate(low_u) >= binomial_tail(np.rint(v[low]), p_ind, tau)]
+    return v[missed] if keep_missed else np.delete(v, missed)
 
 
 def _sample_conditional(

@@ -126,7 +126,7 @@ def test_criterion_3_delta_prime_table(delta_prime_cells):
 def test_criterion_4_policy_table(tau_by_target, low_alpha_n40):
     cfg = ScenarioConfig(**dict(BASE, alpha=0.01, pool_size=6, tau=tau_by_target[0.05],
                                 beta_bar=None, replications=800, master_seed=31))
-    results = optimize_pool_size(cfg, [4, 6, 8, 10, 12, 15, 20])
+    _, results = optimize_pool_size(cfg, [4, 6, 8, 10, 12, 15, 20])
     naive, corr = results["naive"], results["correlated"]
     assert naive.pool_size == 12
     assert corr.pool_size == 12

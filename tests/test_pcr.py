@@ -278,7 +278,7 @@ def test_calibrate_tau_on_the_runner_stream(seed, expected):
 
 def test_calibrate_tau_probes_fewer_tau_than_bisection(monkeypatch):
     # the guide curve locates tau on a histogram of the counts; beta_bar over
-    # all 10**6 draws then only confirms it: at the guide's tau and one below
+    # all 10**6 draws then only checks it: one below the guide's tau, then at it
     probed = []
     tail = corrpool.pcr.binomial_tail
 
@@ -293,40 +293,43 @@ def test_calibrate_tau_probes_fewer_tau_than_bisection(monkeypatch):
     reference, reference_probes = _bisection_tau(0.05, _runner_stream(0))
     assert tau == reference == 176
     assert reference_probes == 16
-    assert probed == [176, 175]
+    assert probed == [175, 176]
 
 
 def test_calibrate_tau_ignores_a_wrong_guide(monkeypatch):
-    # the search on beta_bar starts wherever the guide points and still ends
-    # at the smallest tau that reaches the target
-    reference = _bisection_tau(0.05, _runner_stream(0))[0]
-    search = corrpool.pcr._smallest_tau
+    # the exact check on beta_bar steps from wherever the guide points to the
+    # smallest tau that reaches the target
+    draws = 10**5
+    reference = _bisection_tau(0.05, _runner_stream(0), draws=draws)[0]
     for guided in (1, reference - 5, reference + 1, reference + 100):
-        starts = []
-
-        def forced_guide(beta, target, start):
-            starts.append(start)
-            return guided if len(starts) == 1 else search(beta, target, start)
-
-        monkeypatch.setattr(corrpool.pcr, "_smallest_tau", forced_guide)
-        assert calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0)) == [reference]
-        assert starts == [1, guided]
+        monkeypatch.setattr(corrpool.pcr, "_guide_tau", lambda K, p, target: guided)
+        assert calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0), draws=draws) == [reference]
 
 
-def test_smallest_tau_is_independent_of_start():
-    # a monotone step curve: the answer is the first tau at which it reaches
-    # the target, whichever end of the range the search starts from
+def test_calibrate_tau_unreachable_past_a_guide_at_the_limit(monkeypatch):
+    # every load holds ~10**12 copies; a guide at _TAU_MAX leaves the exact
+    # check nowhere to step up to
+    monkeypatch.setattr(corrpool.pcr, "_guide_tau", lambda K, p, target: corrpool.pcr._TAU_MAX)
+    with pytest.raises(ValueError, match="unreachable"):
+        calibrate_tau([0.05], GmmParams((1.0,), (12.0,), (0.1,)), np.random.default_rng(0), draws=10**5)
+
+
+def test_smallest_tau_on_a_step_curve():
+    # a monotone step curve: the search from tau = 1 ends at the first tau at
+    # which it reaches the target, up to the end of the range
     search = corrpool.pcr._smallest_tau
     tau_max = corrpool.pcr._TAU_MAX
-    for answer in (1, 2, 175, 4096, 999_999, tau_max):
+    for answer in (1, 2, 3, 175, 4096, 4097, 999_999, tau_max - 1, tau_max):
+        probed = []
+
         def beta(tau):
+            probed.append(tau)
             return 0.5 + 0.1 * (tau >= answer) + 1e-9 * tau
 
-        for start in (1, 2, answer - 1, answer, answer + 1, 12_345, tau_max):
-            if 1 <= start <= tau_max:
-                assert search(beta, 0.6, start) == answer
+        assert search(beta, 0.6) == answer
+        assert probed[0] == 1 and all(1 <= tau <= tau_max for tau in probed)
     with pytest.raises(ValueError, match="unreachable"):
-        search(lambda tau: 0.0, 0.05, 3)
+        search(lambda tau: 0.0, 0.05)
 
 
 def test_calibrate_tau_rebuilds_the_guide_histogram():

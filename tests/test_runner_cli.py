@@ -153,7 +153,7 @@ def test_one_worker_pool_per_command(monkeypatch, workers, pools):
     assert len(run_sweep(ScenarioConfig(**SMALL), [0.02, 0.05], [3, 6])) == 2 * 2 * 2
     assert len(created) == pools
     config = ScenarioConfig(**{**SMALL, "population_size": 60, "replications": 500})
-    assert set(optimize_pool_size(config, [3, 6, 9])) == {"naive", "correlated"}
+    assert set(optimize_pool_size(config, [3, 6, 9])[1]) == {"naive", "correlated"}
     assert len(created) == 2 * pools
 
 
@@ -228,12 +228,14 @@ def test_optimize_calibrates_tau_once_and_matches_standalone_cells(monkeypatch):
     config = ScenarioConfig(
         **{**SMALL, "tau": None, "beta_bar": 0.05, "population_size": 60, "replications": 500}
     )
-    results = optimize_pool_size(config, [6, 3])
+    tau, results = optimize_pool_size(config, [6, 3])
     assert len(calls) == 1
     assert set(results) == {"naive", "correlated"}
     objectives = {strategy: [] for strategy in results}
     for n in (3, 6):
-        for strategy, s in run_scenario(replace(config, pool_size=n)).summaries.items():
+        cell = run_scenario(replace(config, pool_size=n))
+        assert cell.config_echo["tau"] == tau
+        for strategy, s in cell.summaries.items():
             objectives[strategy].append((s.objective, n))
     for strategy, r in results.items():
         best = max(objectives[strategy], key=lambda item: (item[0], -item[1]))
@@ -380,10 +382,12 @@ def test_cli_malformed_workers_env_fails_before_tau_calibration(monkeypatch, cap
         (["simulate", "--alpha", "0.9"], 3),
         (["sweep", "--alphas", "0.01", "--pool-sizes", "6,6", "--output", os.devnull], 2),
         (["sweep", "--alphas", "0.01,0.010", "--pool-sizes", "6", "--output", os.devnull], 2),
+        (["optimize", "--candidates", "4,6", "--replications", "500", "--b-i", "0.15"], 2),
+        (["optimize", "--candidates", "4,6", "--replications", "500", "--b-r", "0.05"], 2),
     ],
     ids=[
         "sweep_alpha", "sweep_infeasible", "optimize_pool_size", "optimize_infeasible", "simulate_infeasible",
-        "sweep_repeated_pool_size", "sweep_repeated_alpha",
+        "sweep_repeated_pool_size", "sweep_repeated_alpha", "optimize_b_i_alone", "optimize_b_r_alone",
     ],
 )
 def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
@@ -535,6 +539,38 @@ def test_cli_sir(tmp_path):
     )
     assert rc == 0
     assert len(out.read_text().splitlines()) == 32  # header + day 0..30
+
+
+def test_cli_sir_negative_days_exits_2(tmp_path, capsys):
+    out = tmp_path / "sir.csv"
+    rc = main(
+        ["sir", "--b-i", "0.15", "--b-r", "0.05", "--sensitivity", "0.8",
+         "--days", "-3", "--output", str(out)]
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: days must be non-negative")
+
+
+def test_optimize_config_echo_reruns_byte_for_byte(tmp_path, monkeypatch):
+    # the config block carries the calibrated tau, so the rerun from it skips
+    # calibration and writes the same JSON
+    first, config, second = (tmp_path / name for name in ("first.json", "config.json", "second.json"))
+    argv = ["--candidates", "2,3", "--b-i", "0.15", "--b-r", "0.05"]
+    assert main(
+        ["optimize", *argv, "--beta-bar", "0.05", "--population-size", "60", "--replications", "500",
+         "--seed", "0", "--output-json", str(first)]
+    ) == 0
+    echo = json.loads(first.read_text())["config"]
+    assert echo["tau"] == 176 and echo["beta_bar"] == 0.05 and echo["master_seed"] == 0
+    config.write_text(json.dumps(echo))
+
+    def never_calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_tau called although the config carries tau")
+
+    monkeypatch.setattr(corrpool.runner, "calibrate_tau", never_calibrate)
+    assert main(["optimize", *argv, "--config", str(config), "--output-json", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_replication_rows_roundtrip():

@@ -75,6 +75,13 @@ def test_screening_above_critical_frequency_controls_epidemic():
     assert below[1].i > below[0].i  # grows while s ~ 1
 
 
+def test_simulate_sir_days():
+    start = SirState(0.99, 0.01, 0.0)
+    assert simulate_sir(start, 0.15, 0.05, 0.1, 0.9, 0) == [start]
+    with pytest.raises(ValueError, match="days"):
+        simulate_sir(start, 0.15, 0.05, 0.1, 0.9, -3)
+
+
 def test_conservation_over_many_steps():
     state = SirState(0.99, 0.01, 0.0)
     for _ in range(10**4):
