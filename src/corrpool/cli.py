@@ -210,8 +210,10 @@ def _cmd_sir(args) -> int:
     f = args.f
     if f is None:
         f = critical_frequency(args.b_i, args.b_r, args.sensitivity)
-        print(f"using critical frequency f*={format_number(f)}")
+    # simulate before printing, so a rejected run (days < 0) prints nothing
     path = simulate_sir(state, args.b_i, args.b_r, f, args.sensitivity, args.days)
+    if args.f is None:
+        print(f"using critical frequency f*={format_number(f)}")
     rows = [{"t": st.t, "s": st.s, "i": st.i, "r": st.r} for st in path]
     write_csv(rows, args.output)
     print(f"wrote {len(rows)} days to {args.output}; final i={format_number(path[-1].i)}")
@@ -223,7 +225,11 @@ def _cmd_optimize(args) -> int:
     candidates = _parse_ints(args.candidates)
     tau, results = optimize_pool_size(config, candidates, b_i=args.b_i, b_r=args.b_r)
     payload = {strategy: asdict(r) for strategy, r in results.items()}
+    # with the config block these rerun the command from this file alone
     payload["config"] = config.echo(tau)
+    payload["candidates"] = sorted(set(candidates))
+    payload["b_i"] = args.b_i
+    payload["b_r"] = args.b_r
     if "naive" in results and "correlated" in results:
         payload["consumption_reduction"] = consumption_reduction(
             results["naive"].objective, results["correlated"].objective

@@ -68,25 +68,24 @@ def run_dorfman(
     P = assignment.num_pools
     n = assignment.n
 
+    # tallies over infected members only: everyone else has load exactly 0.0,
+    # and bincount adds in index order, so the sums keep their bits
+    inf_idx = np.flatnonzero(population.infected)
+    inf_pool = pool_of[inf_idx]
+    inf_load = V[inf_idx]
     pool_size = np.bincount(pool_of, minlength=P)
-    pool_load = np.bincount(pool_of, weights=V, minlength=P)
-    s_count = np.bincount(pool_of, weights=population.infected.astype(float), minlength=P).astype(
-        np.int64
-    )
+    pool_load = np.bincount(inf_pool, weights=inf_load, minlength=P)
+    s_count = np.bincount(inf_pool, minlength=P)
 
     dilution = np.full(P, n) if pad_last_pool else pool_size
     pool_positive = sensitivity.draw(pool_load, dilution, rng)
 
     # individual outcomes: only infected persons can test positive (p(0) = 0)
-    w = np.zeros(V.size, dtype=bool)
-    inf_idx = np.flatnonzero(population.infected)
+    individual_positive_count = np.zeros(P, dtype=np.int64)
     if inf_idx.size:
-        p_ind = sensitivity.success_probability(V[inf_idx], 1)
-        w[inf_idx] = rng.random(inf_idx.size) < p_ind
-
-    individual_positive_count = np.bincount(pool_of, weights=w.astype(float), minlength=P).astype(
-        np.int64
-    )
+        p_ind = sensitivity.success_probability(inf_load, 1)
+        w = rng.random(inf_idx.size) < p_ind
+        individual_positive_count = np.bincount(inf_pool[w], minlength=P)
     detected = np.where(pool_positive, individual_positive_count, 0)
     followup = np.where(pool_positive, pool_size, 0)
     return ProtocolOutcome(

@@ -101,3 +101,55 @@ def test_pad_last_pool_changes_only_ragged_dilution():
             hits_pad += run_dorfman(pop, a, sens, rng, pad_last_pool=True).pool_positive[0]
         assert hits_plain / trials == pytest.approx(p_actual, abs=0.03)
         assert hits_pad / trials == pytest.approx(p_padded, abs=0.03)
+
+
+def _dense_dorfman(population, assignment, sensitivity, rng, pad_last_pool=False):
+    """Tallies by float-weighted bincounts over every member, for comparison."""
+    pool_of, P = assignment.pool_of, assignment.num_pools
+    pool_size = np.bincount(pool_of, minlength=P)
+    pool_load = np.bincount(pool_of, weights=population.viral_load, minlength=P)
+    s_count = np.bincount(pool_of, weights=population.infected.astype(float), minlength=P)
+    dilution = np.full(P, assignment.n) if pad_last_pool else pool_size
+    pool_positive = sensitivity.draw(pool_load, dilution, rng)
+    w = np.zeros(pool_of.size, dtype=bool)
+    inf_idx = np.flatnonzero(population.infected)
+    if inf_idx.size:
+        p_ind = sensitivity.success_probability(population.viral_load[inf_idx], 1)
+        w[inf_idx] = rng.random(inf_idx.size) < p_ind
+    individual = np.bincount(pool_of, weights=w.astype(float), minlength=P).astype(np.int64)
+    return (
+        s_count.astype(np.int64),
+        pool_positive,
+        individual,
+        np.where(pool_positive, individual, 0),
+        np.where(pool_positive, pool_size, 0),
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1])
+def test_tallies_match_dense_reference(alpha):
+    sens = RealisticSensitivity(174)
+    for seed in range(6):
+        pop = generate_population(613, US, alpha or 0.01, 0.3, rng=np.random.default_rng(seed))
+        if alpha == 0.0:
+            pop = _manual_population(np.zeros(pop.size))
+        for a in (
+            assign_naive(pop.size, 6, np.random.default_rng(seed)),
+            assign_correlated(pop, 2, np.random.default_rng(seed)),
+            assign_correlated(pop, 40, np.random.default_rng(seed)),
+        ):
+            for pad in (False, True):
+                rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+                out = run_dorfman(pop, a, sens, rng, pad_last_pool=pad)
+                ref = _dense_dorfman(pop, a, sens, ref_rng, pad_last_pool=pad)
+                fields = (
+                    out.s_count,
+                    out.pool_positive,
+                    out.individual_positive_count,
+                    out.detected,
+                    out.followup_tests,
+                )
+                for got, want in zip(fields, ref):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -1,10 +1,13 @@
 """Tests for naive and correlated pool assignment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrpool import pooling
 from corrpool.pooling import assign_correlated, assign_naive
 from corrpool.population import HOUSEHOLD_DISTS, Population, generate_population
 
@@ -118,6 +121,55 @@ def test_correlated_matches_first_fit_reference(dist):
                 assert np.array_equal(a.pool_of, pool_of), (dist, N, n, seed)
                 assert a.split_households == splits, (dist, N, n, seed)
                 assert a.num_pools == -(-N // n)
+
+
+def _assign_by_loop(population, n, seed):
+    """assign_correlated with the int loop standing in for the n <= 2 closed form."""
+    with mock.patch.object(pooling, "_first_fit_pairs", pooling._first_fit_loop):
+        return assign_correlated(population, n, np.random.default_rng(seed))
+
+
+def _assert_same_assignment(a, b):
+    assert a.pool_of.dtype == b.pool_of.dtype
+    assert np.array_equal(a.pool_of, b.pool_of)
+    assert a.split_households == b.split_households
+    assert a.num_pools == b.num_pools
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=2000),
+    n=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_closed_form_matches_loop_on_any_sizes(sizes, n, seed):
+    # the longest prefix of at most 2000 members (odd or even)
+    sizes = sizes[: np.searchsorted(np.cumsum(sizes), 2000, side="right")]
+    pop = _population_from_sizes(sizes)
+    _assert_same_assignment(
+        assign_correlated(pop, n, np.random.default_rng(seed)), _assign_by_loop(pop, n, seed)
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1])
+def test_closed_form_matches_loop_at_baseline_size(alpha):
+    for seed in range(20):
+        pop = generate_population(12000, US, alpha, 0.3, rng=np.random.default_rng(seed))
+        a = assign_correlated(pop, 2, np.random.default_rng(500 + seed))
+        _assert_same_assignment(a, _assign_by_loop(pop, 2, 500 + seed))
+        assert a.split_households > 0
+
+
+def test_small_pools_never_enter_the_loop(monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("the int loop ran at n <= 2")
+
+    monkeypatch.setattr(pooling, "_first_fit_loop", no_loop)
+    pop = generate_population(613, US, 0.05, 0.3, rng=np.random.default_rng(9))
+    for n in (1, 2):
+        assign_correlated(pop, n, np.random.default_rng(n)).validate()
+    with pytest.raises(AssertionError, match="int loop"):
+        assign_correlated(pop, 3, np.random.default_rng(3))
 
 
 def test_split_households_bounded_by_pool_count():

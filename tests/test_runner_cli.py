@@ -549,28 +549,46 @@ def test_cli_sir_negative_days_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: days must be non-negative")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: days must be non-negative")
+    assert captured.out == ""
 
 
 def test_optimize_config_echo_reruns_byte_for_byte(tmp_path, monkeypatch):
-    # the config block carries the calibrated tau, so the rerun from it skips
-    # calibration and writes the same JSON
+    # the JSON carries the calibrated tau, the candidates and the rates, so the
+    # rerun built from it alone skips calibration and writes the same JSON
     first, config, second = (tmp_path / name for name in ("first.json", "config.json", "second.json"))
-    argv = ["--candidates", "2,3", "--b-i", "0.15", "--b-r", "0.05"]
     assert main(
-        ["optimize", *argv, "--beta-bar", "0.05", "--population-size", "60", "--replications", "500",
-         "--seed", "0", "--output-json", str(first)]
+        ["optimize", "--candidates", "3,2,3", "--b-i", "0.15", "--b-r", "0.05", "--beta-bar", "0.05",
+         "--population-size", "60", "--replications", "500", "--seed", "0", "--output-json", str(first)]
     ) == 0
-    echo = json.loads(first.read_text())["config"]
+    payload = json.loads(first.read_text())
+    echo = payload["config"]
     assert echo["tau"] == 176 and echo["beta_bar"] == 0.05 and echo["master_seed"] == 0
+    assert payload["candidates"] == [2, 3]
     config.write_text(json.dumps(echo))
+    argv = ["optimize", "--config", str(config), "--candidates", ",".join(map(str, payload["candidates"]))]
+    for flag, key in (("--b-i", "b_i"), ("--b-r", "b_r")):
+        if payload[key] is not None:
+            argv += [flag, repr(payload[key])]
 
     def never_calibrate(*args, **kwargs):
         raise AssertionError("calibrate_tau called although the config carries tau")
 
     monkeypatch.setattr(corrpool.runner, "calibrate_tau", never_calibrate)
-    assert main(["optimize", *argv, "--config", str(config), "--output-json", str(second)]) == 0
+    assert main([*argv, "--output-json", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_optimize_json_without_rates_holds_null(tmp_path):
+    out = tmp_path / "opt.json"
+    assert main(
+        ["optimize", "--candidates", "2", "--tau", "176", "--population-size", "60",
+         "--replications", "500", "--output-json", str(out)]
+    ) == 0
+    payload = json.loads(out.read_text())
+    assert payload["candidates"] == [2]
+    assert payload["b_i"] is None and payload["b_r"] is None
 
 
 def test_replication_rows_roundtrip():
