@@ -111,7 +111,9 @@ def binomial_tail(counts, p, tau):
     Counts at or above the Chernoff cutoff K_c of their (p, tau) get 1.0
     without calling betainc: their lower tail is below 2**-60, so betainc,
     which then evaluates the small complement and subtracts it from 1, returns
-    exactly 1.0 there too. An array p is screened per distinct value.
+    exactly 1.0 there too. An array p is screened per distinct value; one
+    whose entries are all equal is treated as that scalar, with counts
+    broadcast against its shape.
 
     The counts left in the window [tau, K_c) go through betainc. For a scalar
     p and a finite cutoff, when the window is no wider than the number of
@@ -125,6 +127,9 @@ def binomial_tail(counts, p, tau):
     """
     K = np.asarray(counts, dtype=float)
     p = np.asarray(p, dtype=float)
+    if p.ndim and p.size and (p == p.flat[0]).all():
+        K = np.broadcast_to(K, np.broadcast_shapes(K.shape, p.shape))
+        p = p.flat[0]
     if p.ndim == 0:
         cutoff = _certain_count(float(p), int(tau))
     else:

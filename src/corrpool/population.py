@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleScenarioError
-from .viral import GmmParams, DEFAULT_GMM, sample_viral_load
+from .viral import GmmParams, DEFAULT_GMM, sample_categories, sample_viral_load
 
 _SIZES = np.arange(1, 7)
 
@@ -111,14 +111,13 @@ def generate_population(
     if N < 1:
         raise ValueError("N must be at least 1")
     ph = household_infection_prob(alpha, q, dist)
-    weights = np.asarray(dist.weights)
 
     # draw household sizes in chunks until they cover N persons
     chunk = max(int(N / dist.mean_size() * 1.2) + 16, 16)
     parts = []
     total = 0
     while total < N:
-        s = rng.choice(_SIZES, size=chunk, p=weights)
+        s = _SIZES[sample_categories(dist.weights, rng, chunk)]
         parts.append(s)
         total += int(s.sum())
     sizes = np.concatenate(parts)

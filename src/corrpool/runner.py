@@ -10,9 +10,12 @@ simulate, sweep and optimize share one cell loop, run_cells, which resolves
 tau once and runs every (alpha, pool size) cell at it. The cells share one
 worker pool per command: each task is one replication of every cell, in cell
 order, and each cell keeps its own (master_seed, r, tag) streams, so the
-results split back per cell are those of the cell run on its own. A malformed
-config, including its sensitivity variant, its strategies and its integer and
-boolean fields, and an infeasible cell fail before any tau calibration.
+results split back per cell are those of the cell run on its own. The cells of
+a task share each strategy's assignment per pool size, since it depends on
+neither alpha nor tau, and every cell still runs its protocol from the stream
+state it would have alone. A malformed config, including its sensitivity
+variant, its strategies and its integer and boolean fields, and an infeasible
+cell fail before any tau calibration.
 """
 
 from __future__ import annotations
@@ -199,38 +202,52 @@ class StrategyTallies:
         return summarize_replications(self.S, self.D, self.pooled, self.followup, N)
 
 
-def _cell_tallies(config: ScenarioConfig, tau: int, rep: int) -> dict[str, tuple]:
-    """Run one replication of every configured strategy on a shared population."""
-    dist = config.resolve_dist()
-    sensitivity = config.resolve_sensitivity(tau)
-    rng_pop = np.random.default_rng(
-        np.random.SeedSequence((config.master_seed, rep, _TAG_POPULATION))
-    )
-    pop = generate_population(
-        config.population_size, dist, config.alpha, config.q, config.gmm, rng=rng_pop
-    )
-    out = {}
-    for strategy in config.strategies:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((config.master_seed, rep, _TAG_STRATEGY[strategy]))
-        )
-        if strategy == "naive":
-            assignment = assign_naive(pop.size, config.pool_size, rng)
-        else:
-            assignment = assign_correlated(pop, config.pool_size, rng)
-        outcome = run_dorfman(pop, assignment, sensitivity, rng, config.pad_last_pool)
-        out[strategy] = (
-            outcome.total_S,
-            outcome.total_D,
-            outcome.pooled_tests,
-            outcome.total_followup,
-        )
-    return out
-
-
 def _replication_tallies(configs: list[ScenarioConfig], tau: int, rep: int) -> list[dict[str, tuple]]:
-    """Replication rep of every cell, in cell order."""
-    return [_cell_tallies(config, tau, rep) for config in configs]
+    """Replication rep of every cell, in cell order.
+
+    Each cell draws its own population, but an assignment depends on neither
+    alpha nor tau: a strategy's stream starts with a permutation, and the
+    household sizes come off the population stream before any alpha-dependent
+    draw. So each strategy is assigned once per pool size, from the fresh
+    state of its stream, and each cell's protocol run resumes the stream from
+    the state that assignment left: every cell draws what it would alone.
+    """
+    first = configs[0]
+    dist = first.resolve_dist()
+    sensitivity = first.resolve_sensitivity(tau)
+    rngs = {
+        strategy: np.random.default_rng(
+            np.random.SeedSequence((first.master_seed, rep, _TAG_STRATEGY[strategy]))
+        )
+        for strategy in first.strategies
+    }
+    fresh = {strategy: rng.bit_generator.state for strategy, rng in rngs.items()}
+    assigned = {}  # (strategy, pool size) -> (assignment, stream state after it)
+    out = []
+    for config in configs:
+        rng_pop = np.random.default_rng(np.random.SeedSequence((first.master_seed, rep, _TAG_POPULATION)))
+        pop = generate_population(first.population_size, dist, config.alpha, first.q, first.gmm, rng=rng_pop)
+        cell = {}
+        for strategy, rng in rngs.items():
+            key = (strategy, config.pool_size)
+            if key not in assigned:
+                rng.bit_generator.state = fresh[strategy]
+                if strategy == "naive":
+                    assignment = assign_naive(pop.size, config.pool_size, rng)
+                else:
+                    assignment = assign_correlated(pop, config.pool_size, rng)
+                assigned[key] = (assignment, rng.bit_generator.state)
+            assignment, state = assigned[key]
+            rng.bit_generator.state = state
+            outcome = run_dorfman(pop, assignment, sensitivity, rng, first.pad_last_pool)
+            cell[strategy] = (
+                outcome.total_S,
+                outcome.total_D,
+                outcome.pooled_tests,
+                outcome.total_followup,
+            )
+        out.append(cell)
+    return out
 
 
 def worker_count() -> int:
@@ -245,14 +262,17 @@ def worker_count() -> int:
 def run_replications(configs: list[ScenarioConfig], tau: int) -> list[dict[str, StrategyTallies]]:
     """Run all replications of every cell at threshold tau, one tallies dict per cell.
 
-    The cells share one replication count. With CORRPOOL_WORKERS > 1 one
-    process pool runs them, a task being one replication of every cell.
+    The cells differ in alpha and pool size only. With CORRPOOL_WORKERS > 1
+    one process pool runs them, a task being one replication of every cell.
     Results come back in replication order and are split per cell, so output
     is identical for any worker count.
     """
+    first = configs[0]
+    if any(replace(c, alpha=first.alpha, pool_size=first.pool_size) != first for c in configs):
+        raise ValueError("cells may differ in alpha and pool size only")
     workers = worker_count()
     one = partial(_replication_tallies, configs, tau)
-    reps = range(configs[0].replications)
+    reps = range(first.replications)
     if workers == 1 or len(reps) < 2 * workers:
         rows = list(map(one, reps))
     else:

@@ -66,24 +66,31 @@ def ct_to_log10_viral_load(ct):
     return float(out) if out.ndim == 0 else out
 
 
+def sample_categories(weights, rng: np.random.Generator, size) -> np.ndarray:
+    """The values and stream position of rng.choice(len(weights), size, p=weights), faster.
+
+    The category of a uniform u is the number of CDF entries at or below it,
+    which is what choice's searchsorted(side="right") returns, counted here
+    with one comparison per category boundary into an index just wide enough
+    for the category count.
+    """
+    cdf = np.cumsum(weights, dtype=float)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
+    for c in cdf[:-1]:
+        out += u >= c
+    return out
+
+
 def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size):
     """Draw log10 viral loads for infected individuals from the mixture.
 
     The same bits and stream position as rng.normal(mu[comp], sd[comp]) with
-    comp = rng.choice(len(w), size, p=w), faster: the component of a uniform u
-    is the number of mixture CDF entries at or below it, which is what
-    choice's searchsorted(side="right") returns, counted here with one
-    comparison per component boundary into an index just wide enough for the
-    component count.
+    comp = rng.choice(len(w), size, p=w), drawn by sample_categories.
     """
     w, mu, sd = params.as_arrays()
-    cdf = w.cumsum()
-    cdf /= cdf[-1]
-    u = rng.random(size)
-    comp = np.zeros(u.shape, dtype=np.min_scalar_type(len(w) - 1))
-    for c in cdf[:-1]:
-        comp += u >= c
-    del u
+    comp = sample_categories(w, rng, size)
     x = rng.standard_normal(comp.shape)
     x *= sd[comp]
     x += mu[comp]

@@ -374,3 +374,27 @@ def test_params_validation():
     for tau in (0, True, 174.5):
         with pytest.raises(ValueError):
             RealisticSensitivity(tau)
+
+
+@pytest.mark.parametrize("tau", [1, 174, 1240])
+def test_binomial_tail_equal_valued_p_takes_the_scalar_path(monkeypatch, gmm_counts, tau):
+    # draw_positive passes one p per pool, all equal when n divides N
+    counts = gmm_counts[:3000]
+    p = float(capture_probability(6))
+    p_dims = []
+
+    def recording_betainc(a, b, x):
+        p_dims.append(np.ndim(x))
+        return betainc(a, b, x)
+
+    monkeypatch.setattr(corrpool.pcr, "betainc", recording_betainc)
+    got = binomial_tail(counts, np.full(counts.shape, p), tau)
+    assert set(p_dims) == {0}
+    assert got.shape == counts.shape
+    assert np.array_equal(got, binomial_tail(counts, p, tau))
+    # counts broadcast against p's shape
+    column = binomial_tail(counts[:5, None], np.full((5, 3), p), tau)
+    assert column.shape == (5, 3)
+    assert np.array_equal(column, np.repeat(binomial_tail(counts[:5], p, tau)[:, None], 3, axis=1))
+    mixed = capture_probability(np.where(np.arange(counts.size) % 7 == 0, 5, 6))
+    assert np.array_equal(binomial_tail(counts, mixed, tau), _betainc_tail(counts, mixed, tau))

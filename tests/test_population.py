@@ -5,11 +5,13 @@ import pytest
 
 from corrpool.errors import InfeasibleScenarioError
 from corrpool.population import (
+    _SIZES,
     HOUSEHOLD_DISTS,
     HouseholdDist,
     generate_population,
     household_infection_prob,
 )
+from corrpool.viral import sample_categories
 
 US = HOUSEHOLD_DISTS["US"]
 SINGLETONS = HouseholdDist((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
@@ -125,3 +127,24 @@ def test_viral_loads_only_for_infected():
     pop = generate_population(500, US, 0.1, 0.3, rng=rng)
     assert np.all(pop.viral_load[~pop.infected] == 0)
     assert np.all(pop.viral_load[pop.infected] > 0)
+
+
+@pytest.mark.parametrize("weights", [d.weights for d in HOUSEHOLD_DISTS.values()] + [(0.5, 0.5, 0, 0, 0, 0)])
+def test_household_size_draw_matches_rng_choice(weights):
+    # generate_population's size draw: rng.choice's values and generator position
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for size in (1, 7, 5000):
+        got = _SIZES[sample_categories(weights, rng, size)]
+        assert np.array_equal(got, ref.choice(_SIZES, size=size, p=np.asarray(weights)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_households_do_not_depend_on_alpha_or_q():
+    # the runner shares one pool assignment between cells of different alpha
+    pops = [
+        generate_population(5000, US, alpha, q, rng=np.random.default_rng(3))
+        for alpha, q in [(0.001, 0.0), (0.01, 0.166), (0.1, 0.5), (0.3, 1.0)]
+    ]
+    for pop in pops[1:]:
+        assert np.array_equal(pop.household_sizes, pops[0].household_sizes)
+        assert np.array_equal(pop.household_id, pops[0].household_id)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -214,6 +216,29 @@ def test_sweep_calibrates_tau_once_and_matches_standalone_cells(monkeypatch):
                 assert row["sensitivity_se"] == s.sensitivity_se
                 assert row["efficiency"] == s.efficiency
                 assert row["efficiency_se"] == s.efficiency_se
+
+
+def test_sweep_assigns_once_per_strategy_and_pool_size(monkeypatch):
+    calls = {"naive": [], "correlated": []}
+    for strategy in calls:
+        assign = getattr(corrpool.runner, f"assign_{strategy}")
+
+        def counting(*args, _assign=assign, _calls=calls[strategy]):
+            _calls.append(args[1])
+            return _assign(*args)
+
+        monkeypatch.setattr(corrpool.runner, f"assign_{strategy}", counting)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    config = ScenarioConfig(**{**SMALL, "replications": 3})
+    run_sweep(config, [0.02, 0.05], [3, 6])
+    for strategy, pool_sizes in calls.items():
+        assert pool_sizes == [3, 6] * 3, strategy
+
+
+def test_cells_must_differ_in_alpha_and_pool_size_only():
+    config = ScenarioConfig(**SMALL)
+    with pytest.raises(ValueError):
+        corrpool.runner.run_replications([config, replace(config, q=0.2)], 174)
 
 
 def test_optimize_calibrates_tau_once_and_matches_standalone_cells(monkeypatch):
@@ -596,3 +621,11 @@ def test_replication_rows_roundtrip():
     rows = replication_rows(result.config_echo, result.tallies)
     assert len(rows) == 2 * 4
     assert all(row["pooled_tests"] == 50 for row in rows)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(corrpool.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "corrpool", "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: corrpool")
