@@ -24,10 +24,8 @@ total_load / pool_size, and their draws compare one uniform per test with it.
 All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target. One
-call takes every target of a command and draws the infected loads once for
-all of them. Each target's search runs upward from tau = 1 on a histogram of
-the distinct counts, which gives the same curve up to summation order, and
-the full sample then checks its tau exactly at tau - 1 and tau.
+call draws the infected loads once, sums the rate over one histogram of their
+distinct counts and searches that curve upward from tau = 1 for each target.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
@@ -293,32 +291,30 @@ def _smallest_tau(beta, target):
     return hi
 
 
-def _guide_tau(K, p, target):
-    """Search the guide curve of calibrate_tau from tau = 1.
+def _fnr_curve(K, p):
+    """calibrate_tau's FNR estimate on the rounded loads K, as a function of tau.
 
-    guide(tau) = 1 - (n_above + counts @ binomial_tail(values, p, tau)) / K.size
-    holds one tail per distinct count: values are the distinct counts below a
-    bound L, counts their multiplicities, and n_above the number of counts at
-    or above L, whose tails are exactly 1.0 while L >= K_c(tau). L is set to
-    8 K_c(tau) at the first probe and again whenever a probe's K_c exceeds
-    it. The histogram is freed before the full-sample passes: kept alive, it
-    left about 6 MB more heap resident after calibration, which every forked
-    replication worker then inherits.
+    Counts at or above K_c(p, tau) have a tail of exactly 1.0 and count as
+    sure hits, an exact integer; the tails of the distinct counts below K_c
+    are weighted by their multiplicities and summed by numpy, not BLAS. So the
+    curve depends on K and tau alone, not on the histogram it is read from:
+    the counts below L = 8 K_c(tau), rebuilt when a probe's K_c exceeds L.
     """
     bound = 0.0
-    values = counts = n_above = None
+    values = counts = None
 
-    def guide(tau):
-        nonlocal bound, values, counts, n_above
+    def beta_bar(tau):
+        nonlocal bound, values, counts
         certain = _certain_count(p, tau)
         if certain > bound:
             bound = 8.0 * certain
-            below = K[K < bound]
-            values, counts = np.unique(below, return_counts=True)
-            n_above = K.size - below.size
-        return 1.0 - (n_above + counts @ binomial_tail(values, p, tau)) / K.size
+            values, counts = np.unique(K[K < bound], return_counts=True)
+        below = np.searchsorted(values, certain)
+        sure = K.size - int(counts[:below].sum())
+        tails = binomial_tail(values[:below], p, tau)
+        return 1.0 - (sure + (counts[:below] * tails).sum()) / K.size
 
-    return _smallest_tau(guide, target)
+    return beta_bar
 
 
 def calibrate_tau(
@@ -330,36 +326,15 @@ def calibrate_tau(
     """For each target, the smallest integer tau whose estimated individual-test
     FNR reaches it.
 
-    Every target is checked before anything is drawn. The FNR estimate
-    beta_bar(tau) = mean of 1 - P(positive | V) over `draws` infected viral
-    loads is computed on one common set of draws for every target and tau
-    candidate, making the curve monotone in the realized sample, so each
-    search is exact and the result deterministic given the rng seed. A target
-    gets the tau it would get from a call of its own on the same rng state.
-
-    A guide curve (see _guide_tau) locates tau first without passing over
-    every draw: it sums the same per-count tails over a histogram of the
-    distinct counts, so it differs from beta_bar only by the order of the
-    summation. beta_bar's bits still decide tau: from the guide's tau an
-    exact check steps down while beta_bar(tau - 1) reaches the target, then up
-    while beta_bar(tau) misses it, raising ValueError past _TAU_MAX. A right
-    guide costs two full-sample passes, at tau - 1 and tau.
+    Every target is checked before anything is drawn. The estimate
+    beta_bar(tau), the mean of 1 - P(positive | V) over `draws` infected viral
+    loads, uses one set of draws for every target and tau, so it is monotone
+    in tau, each search is exact and the result deterministic given the rng
+    seed. Every target searches the same curve (see _fnr_curve), so it gets
+    the tau of a call of its own on the same rng state.
     """
     for target in targets:
         check_calibration(target, draws)
     K = np.rint(sample_viral_load(gmm, rng, size=draws))
-    p = float(capture_probability(1))
-
-    def beta_bar(tau):
-        return 1.0 - binomial_tail(K, p, tau).mean()
-
-    def exact(tau, target):
-        while tau > 1 and beta_bar(tau - 1) >= target:
-            tau -= 1
-        while beta_bar(tau) < target:
-            if tau == _TAU_MAX:
-                raise ValueError(f"target FNR {target} unreachable with tau <= {_TAU_MAX}")
-            tau += 1
-        return tau
-
-    return [exact(_guide_tau(K, p, target), target) for target in targets]
+    beta_bar = _fnr_curve(K, float(capture_probability(1)))
+    return [_smallest_tau(beta_bar, target) for target in targets]

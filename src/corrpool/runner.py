@@ -183,8 +183,11 @@ class ScenarioConfig:
 
     def echo(self, tau: int) -> dict:
         """Resolved configuration embedded in every output artifact."""
-        # gmm is left out: recording it would change the golden summary hash
+        # the default gmm is left out, which from_dict reads back as the
+        # default: recording it would change the golden summary hash
         echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gmm"}
+        if self.gmm != DEFAULT_GMM:
+            echo["gmm"] = asdict(self.gmm)
         echo["tau"] = tau
         return echo
 

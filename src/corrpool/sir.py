@@ -59,6 +59,7 @@ def simulate_sir(
     """Trajectory of `days` updates, starting from (and including) `state`."""
     if days < 0:
         raise ValueError(f"days must be non-negative, got {days}")
+    _validate_rates(b_i, b_r, f, sensitivity)  # also with no step to run
     path = [state]
     for _ in range(days):
         state = sir_step(state, b_i, b_r, f, sensitivity)
@@ -123,6 +124,8 @@ def optimize_pool_size(
         raise ValueError("pool-size optimization needs at least 500 replications")
     if (b_i is None) != (b_r is None):
         raise ValueError("b_i and b_r must be given together")
+    if b_i is not None and (b_i < 0 or b_r < 0):
+        raise ValueError("b_i and b_r must be non-negative")
 
     tau, results = run_cells(config, [(config.alpha, n) for n in candidate_sizes])
     best: dict[str, PolicyResult] = {}

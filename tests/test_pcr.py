@@ -18,6 +18,7 @@ from corrpool.pcr import (
     StepSensitivity,
     calibrate_tau,
 )
+from corrpool.runner import ScenarioConfig
 from corrpool.viral import DEFAULT_GMM, GmmParams, sample_viral_load
 
 
@@ -276,42 +277,51 @@ def test_calibrate_tau_on_the_runner_stream(seed, expected):
     assert [_bisection_tau(beta_bar, _runner_stream(seed))[0] for beta_bar in betas] == expected
 
 
-def test_calibrate_tau_probes_fewer_tau_than_bisection(monkeypatch):
-    # the guide curve locates tau on a histogram of the counts; beta_bar over
-    # all 10**6 draws then only checks it: one below the guide's tau, then at it
-    probed = []
+def test_calibrate_tau_evaluates_tails_on_distinct_counts_only(monkeypatch):
+    # the curve is summed over a histogram of the counts: no tail is ever
+    # evaluated on the whole sample of 10**6 draws
+    sizes = []
     tail = corrpool.pcr.binomial_tail
 
     def recording_tail(counts, p, tau):
-        if np.size(counts) == 10**6:
-            probed.append(tau)
+        sizes.append(np.size(counts))
         return tail(counts, p, tau)
 
     monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
     (tau,) = calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0))
     monkeypatch.undo()
-    reference, reference_probes = _bisection_tau(0.05, _runner_stream(0))
-    assert tau == reference == 176
-    assert reference_probes == 16
-    assert probed == [175, 176]
+    assert tau == _bisection_tau(0.05, _runner_stream(0))[0] == 176
+    assert sizes and max(sizes) < 10**5
 
 
-def test_calibrate_tau_ignores_a_wrong_guide(monkeypatch):
-    # the exact check on beta_bar steps from wherever the guide points to the
-    # smallest tau that reaches the target
+def test_calibrate_tau_targets_in_any_order():
+    # every target gets the tau of a call of its own on the same stream,
+    # however the targets before it moved the histogram's bound
     draws = 10**5
-    reference = _bisection_tau(0.05, _runner_stream(0), draws=draws)[0]
-    for guided in (1, reference - 5, reference + 1, reference + 100):
-        monkeypatch.setattr(corrpool.pcr, "_guide_tau", lambda K, p, target: guided)
-        assert calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0), draws=draws) == [reference]
+    alone = {b: calibrate_tau([b], DEFAULT_GMM, _runner_stream(0), draws=draws)[0] for b in (0.05, 0.5)}
+    for targets in ([0.5, 0.05], [0.05, 0.5]):
+        got = calibrate_tau(targets, DEFAULT_GMM, _runner_stream(0), draws=draws)
+        assert got == [alone[b] for b in targets]
 
 
-def test_calibrate_tau_unreachable_past_a_guide_at_the_limit(monkeypatch):
-    # every load holds ~10**12 copies; a guide at _TAU_MAX leaves the exact
-    # check nowhere to step up to
-    monkeypatch.setattr(corrpool.pcr, "_guide_tau", lambda K, p, target: corrpool.pcr._TAU_MAX)
-    with pytest.raises(ValueError, match="unreachable"):
-        calibrate_tau([0.05], GmmParams((1.0,), (12.0,), (0.1,)), np.random.default_rng(0), draws=10**5)
+def test_fnr_curve_matches_the_mean_over_every_draw():
+    # the histogram curve is the full-sample mean up to summation order, and a
+    # function of tau alone: probing in either order gives the same bits
+    K = np.rint(sample_viral_load(DEFAULT_GMM, _runner_stream(0), size=10**6))
+    p = float(capture_probability(1))
+    taus = [1, 108, 176, 1240, 28533]
+    up = corrpool.pcr._fnr_curve(K, p)
+    rising = [up(tau) for tau in taus]
+    down = corrpool.pcr._fnr_curve(K, p)
+    assert [down(tau) for tau in taus[::-1]][::-1] == rising
+    for tau, beta in zip(taus, rising):
+        assert abs(beta - (1.0 - binomial_tail(K, p, tau).mean())) <= 1e-12
+
+
+def test_golden_tau():
+    # the stored benchmark artifacts were made at these two thresholds
+    assert ScenarioConfig(beta_bar=0.05, master_seed=0).resolve_tau() == 176
+    assert calibrate_tau([0.05], DEFAULT_GMM, np.random.default_rng(0)) == [175]
 
 
 def test_smallest_tau_on_a_step_curve():
@@ -333,8 +343,8 @@ def test_smallest_tau_on_a_step_curve():
 
 
 def test_calibrate_tau_rebuilds_the_guide_histogram():
-    # at beta_bar = 0.5 tau is in the tens of thousands, so the guide's bound
-    # L = 8 K_c is raised several times on the way up
+    # at beta_bar = 0.5 tau is in the tens of thousands, so the histogram's
+    # bound L = 8 K_c is raised several times on the way up
     for seed in (0, 1):
         expected = _bisection_tau(0.5, _runner_stream(seed), draws=10**5)[0]
         assert calibrate_tau([0.5], DEFAULT_GMM, _runner_stream(seed), draws=10**5) == [expected]

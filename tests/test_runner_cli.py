@@ -409,10 +409,13 @@ def test_cli_malformed_workers_env_fails_before_tau_calibration(monkeypatch, cap
         (["sweep", "--alphas", "0.01,0.010", "--pool-sizes", "6", "--output", os.devnull], 2),
         (["optimize", "--candidates", "4,6", "--replications", "500", "--b-i", "0.15"], 2),
         (["optimize", "--candidates", "4,6", "--replications", "500", "--b-r", "0.05"], 2),
+        (["optimize", "--candidates", "4,6", "--replications", "500", "--b-i", "-1", "--b-r", "0.1"], 2),
+        (["optimize", "--candidates", "4,6", "--replications", "500", "--b-i", "0.3", "--b-r", "-0.1"], 2),
     ],
     ids=[
         "sweep_alpha", "sweep_infeasible", "optimize_pool_size", "optimize_infeasible", "simulate_infeasible",
         "sweep_repeated_pool_size", "sweep_repeated_alpha", "optimize_b_i_alone", "optimize_b_r_alone",
+        "optimize_b_i_negative", "optimize_b_r_negative",
     ],
 )
 def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
@@ -567,16 +570,34 @@ def test_cli_sir(tmp_path):
 
 
 def test_cli_sir_negative_days_exits_2(tmp_path, capsys):
+    # bad rates are rejected even when there is no day to step through
     out = tmp_path / "sir.csv"
-    rc = main(
-        ["sir", "--b-i", "0.15", "--b-r", "0.05", "--sensitivity", "0.8",
-         "--days", "-3", "--output", str(out)]
-    )
-    assert rc == 2
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: days must be non-negative")
-    assert captured.out == ""
+    for args, error in [
+        (["--b-i", "0.15", "--b-r", "0.05", "--sensitivity", "0.8", "--days", "-3"], "days must be non-negative"),
+        (["--b-i", "0.3", "--b-r", "0.1", "--sensitivity", "0.9", "--f", "-1", "--days", "0"],
+         "rates must be non-negative"),
+        (["--b-i", "0.3", "--b-r", "0.1", "--sensitivity", "1.5", "--f", "0.1", "--days", "0"],
+         "sensitivity must be in [0, 1]"),
+    ]:
+        assert main(["sir", *args, "--output", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}")
+        assert captured.out == ""
+
+
+def test_simulate_config_echo_with_a_custom_gmm_reruns_byte_for_byte(tmp_path):
+    # a non-default mixture is echoed, so the summary's config block alone
+    # reruns the command
+    cfg, first, echo, second = (tmp_path / name for name in ("cfg.json", "a.json", "echo.json", "b.json"))
+    gmm = {"weights": [0.3, 0.7], "mus": [4.0, 6.5], "sigmas": [1.0, 1.5]}
+    cfg.write_text(json.dumps({"gmm": gmm, "population_size": 60, "replications": 5}))
+    assert main(["simulate", "--config", str(cfg), "--output-json", str(first)]) == 0
+    config = json.loads(first.read_text())["config"]
+    assert config["gmm"] == gmm
+    echo.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(echo), "--output-json", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_optimize_config_echo_reruns_byte_for_byte(tmp_path, monkeypatch):
