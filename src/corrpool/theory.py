@@ -14,11 +14,10 @@ E[X] into a conservative ratio interval. The sampler screens out certain
 hits: a load at or above the individual test's certain count K_c, about nine
 in ten at beta_bar = 5%, is a hit without evaluating its tail, and the result
 is bit-identical to evaluating every tail (see _sample_conditional). It draws
-up to 4e6 loads per chunk and their accept uniforms in blocks of 2**16, so a
-chunk holds its loads (8 bytes each) plus 512 KB of uniforms and the indices
-and uniforms of the loads under K_c. By tracemalloc, drawing the loads peaks
-at about 17 bytes per load and the whole miss pass at about 19 bytes per
-chunk load (tests/test_theory.py holds it under 24).
+up to 4e6 loads per chunk, and their normals and accept uniforms in blocks of
+2**16. By tracemalloc, drawing the loads peaks at about 10.1 bytes per load
+and either pass at about 11.3 bytes per chunk load (tests/test_theory.py
+holds it under 13).
 """
 
 from dataclasses import dataclass
@@ -26,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pcr import PiecewiseSensitivity, _certain_count, binomial_tail, capture_probability
-from .viral import GmmParams, sample_viral_load
+from .viral import _BLOCK, GmmParams, sample_viral_load
 
 _POOL_SIZE = 2  # the counterexample is built on pools of two
-# Uniforms per block of the delta' sampler's accept pass: 512 KB of doubles.
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,28 +120,31 @@ class DeltaPrimeEstimate:
     ci_reliable: bool = True
 
 
-def _accept(v, keep_missed, p_ind, tau, certain, rng, buf):
-    """The loads of one chunk that the individual test misses (keep_missed) or
-    hits, in order, drawing one uniform per load from rng.
+def _accept(v, keep_missed, tails, certain, rng, buf, limit):
+    """The first `limit` loads of one chunk that the individual test misses
+    (keep_missed) or hits, in order, drawing one uniform per load from rng.
 
     The uniforms are drawn buf.size at a time into buf, which gives the same
-    doubles in the same stream order as one rng.random(v.size). A block keeps
-    only the indices and uniforms of its loads under the certain count, and
-    one binomial_tail call finds the misses among them; the hit pass deletes
-    those from the chunk.
+    doubles in the same stream order as one rng.random(v.size). A block looks
+    up the tails of its loads under the certain count in `tails`, indexed by
+    rint(v), and keeps only the indices of its misses; the hit pass deletes
+    the misses before the limit-th hit from the loads up to it.
     """
-    low_index = []
-    low_u = []
+    missed = []
     for start in range(0, v.size, buf.size):
         u = buf[: v.size - start]
         rng.random(out=u)
-        index = np.flatnonzero(v[start : start + u.size] < certain)
-        low_u.append(u[index])
-        index += start
-        low_index.append(index)
-    low = np.concatenate(low_index)
-    missed = low[np.concatenate(low_u) >= binomial_tail(np.rint(v[low]), p_ind, tau)]
-    return v[missed] if keep_missed else np.delete(v, missed)
+        block = v[start : start + u.size]
+        low = np.flatnonzero(block < certain)
+        low = low[u[low] >= tails[np.rint(block[low]).astype(np.intp)]]
+        missed.append(low + start)
+    missed = np.concatenate(missed)
+    if keep_missed:
+        return v[missed[:limit]]
+    # miss j has missed[j] - j hits before it; the limit-th hit follows the
+    # misses with fewer than limit hits before them
+    cut = int(np.searchsorted(missed - np.arange(missed.size), limit))
+    return np.delete(v[: limit + cut], missed[:cut])
 
 
 def _sample_conditional(
@@ -160,29 +160,31 @@ def _sample_conditional(
 
     A load at or above the certain count K_c of the individual test is a hit
     without evaluating its tail: K_c is an integer, so rint(v) >= K_c, the
-    tail is exactly 1.0 and every uniform lies below it. Each chunk draws its
-    loads in one call and then one uniform per load in blocks of _BLOCK (see
-    _accept). Besides its loads a chunk holds block-sized scratch, the
-    indices and uniforms of the loads under K_c (about one in ten at
-    beta_bar = 5%) and, in the hit pass, a one-byte-per-load mask; it never
-    holds a chunk-sized array of uniforms, and its loads are freed before the
-    next chunk is drawn. The kept loads and the stream position are those of
-    drawing the chunk's uniforms at once and evaluating every load's tail.
+    tail is exactly 1.0 and every uniform lies below it. The tails of the
+    counts 0..K_c are evaluated once per pass; binomial_tail gives each count
+    the same bits alone or in an array. Besides its loads a chunk holds
+    block-sized scratch and the indices of its misses, never a chunk-sized
+    array of uniforms or normals, and its loads are freed before the next
+    chunk is drawn. The result is an owned array of at most `needed` loads;
+    the kept loads and the stream position are those of drawing the chunk's
+    uniforms at once and evaluating every load's tail.
     """
     p_ind = float(capture_probability(1))
     certain = _certain_count(p_ind, tau)
+    tails = binomial_tail(np.arange(int(certain) + 1), p_ind, tau)
     kept = []
     total_kept = 0
     drawn = 0
     chunk = max(min(needed * 4, 4_000_000), 100_000)
     buf = np.empty(_BLOCK)
     while total_kept < needed and drawn < max_draws:
-        sel = _accept(sample_viral_load(gmm, rng, size=chunk), keep_missed, p_ind, tau, certain, rng, buf)
+        v = sample_viral_load(gmm, rng, size=chunk)
+        sel = _accept(v, keep_missed, tails, certain, rng, buf, needed - total_kept)
+        del v  # freed before the next chunk is drawn
         kept.append(sel)
         total_kept += sel.size
         drawn += chunk
-    out = np.concatenate(kept)
-    return out[:needed]
+    return np.concatenate(kept)
 
 
 def check_delta_prime(n: int, B: int, bootstrap_reps: int):

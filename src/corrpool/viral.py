@@ -14,6 +14,8 @@ from scipy.special import ndtr
 # log10 VL = CT_INTERCEPT + CT_SLOPE * Ct
 CT_INTERCEPT = 14.0 + np.log10(1.105)
 CT_SLOPE = -0.681 / np.log(10.0)
+# Draws per block of the samplers below: 512 KB of doubles.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,19 @@ def sample_categories(weights, rng: np.random.Generator, size) -> np.ndarray:
     The category of a uniform u is the number of CDF entries at or below it,
     which is what choice's searchsorted(side="right") returns, counted here
     with one comparison per category boundary into an index just wide enough
-    for the category count.
+    for the category count. The uniforms are drawn _BLOCK at a time into one
+    reused buffer, the same doubles in the same order as one rng.random(size).
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
-    u = rng.random(size)
-    out = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
-    for c in cdf[:-1]:
-        out += u >= c
+    out = np.zeros(size, dtype=np.min_scalar_type(len(cdf) - 1))
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _BLOCK))
+    for start in range(0, flat.size, _BLOCK):
+        u = buf[: flat.size - start]
+        rng.random(out=u)
+        for c in cdf[:-1]:
+            flat[start : start + u.size] += u >= c
     return out
 
 
@@ -87,14 +94,22 @@ def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size):
     """Draw log10 viral loads for infected individuals from the mixture.
 
     The same bits and stream position as rng.normal(mu[comp], sd[comp]) with
-    comp = rng.choice(len(w), size, p=w), drawn by sample_categories.
+    comp = rng.choice(len(w), size, p=w), drawn by sample_categories. The
+    normals are drawn _BLOCK at a time into the output and scaled through one
+    reused buffer, so a call holds its output, the components and block scratch.
     """
     w, mu, sd = params.as_arrays()
-    comp = sample_categories(w, rng, size)
-    x = rng.standard_normal(comp.shape)
-    x *= sd[comp]
-    x += mu[comp]
-    return x
+    out = np.empty(size)
+    comp = sample_categories(w, rng, out.shape).reshape(-1)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _BLOCK))
+    for start in range(0, flat.size, _BLOCK):
+        x = flat[start : start + _BLOCK]
+        k = comp[start : start + _BLOCK]
+        rng.standard_normal(out=x)
+        x *= sd.take(k, out=buf[: x.size], mode="clip")
+        x += mu.take(k, out=buf[: x.size], mode="clip")
+    return out
 
 
 def sample_viral_load(params: GmmParams, rng: np.random.Generator, size):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from corrpool import pooling
 from corrpool.pooling import assign_correlated, assign_naive
-from corrpool.population import HOUSEHOLD_DISTS, Population, generate_population
+from corrpool.population import HOUSEHOLD_DISTS, HouseholdDist, Population, generate_population
 
 US = HOUSEHOLD_DISTS["US"]
 
@@ -197,8 +197,6 @@ def test_partition_validity_randomized(n, seed, big_n):
 def test_singleton_households_match_naive_in_law():
     # with all-singleton households the correlated rule degenerates to a
     # uniform partition; compare pool-level infected-count histograms
-    from corrpool.population import HouseholdDist
-
     singles = HouseholdDist((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     rng = np.random.default_rng(7)
     counts = {"naive": np.zeros(7), "correlated": np.zeros(7)}
@@ -217,6 +215,23 @@ def test_singleton_households_match_naive_in_law():
     mask = expected > 1e-4
     chi2 = np.sum((observed[mask] - expected[mask]) ** 2 / expected[mask])
     assert chi2 < 0.01
+
+
+@pytest.mark.parametrize("N", [1, 7, 613, 12000])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 40])
+def test_singleton_households_match_naive_exactly(N, n):
+    # with every household of size 1, first-fit fills the pools in visit
+    # order, so either producer gives naive's pools from the same generator
+    # state
+    singles = HouseholdDist((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    for seed in range(3):
+        pop = generate_population(N, singles, 0.05, 0.3, rng=np.random.default_rng(seed))
+        rng, ref = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        got = assign_correlated(pop, n, rng)
+        expected = assign_naive(N, n, ref)
+        assert np.array_equal(got.pool_of, expected.pool_of)
+        assert (got.num_pools, got.split_households) == (expected.num_pools, 0)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_marginal_viral_load_identical_across_strategies():

@@ -1,15 +1,18 @@
 """Tests for the viral-load mixture model and Ct conversion."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corrpool.viral import (
+    _BLOCK,
     DEFAULT_GMM,
     GmmParams,
     ct_to_log10_viral_load,
     sample_log10_viral_load,
+    sample_viral_load,
 )
 
 # analytic moments of the default mixture (computed by hand from the weights)
@@ -64,9 +67,10 @@ def test_degenerate_single_component_draws():
 def test_draws_equal_normal_with_per_draw_parameters(params):
     # the sampler picks components and scales standard normals itself;
     # rng.choice then rng.normal(mu[comp], sd[comp]) on a copy of the generator
-    # is the reference, bits and stream position
+    # is the reference, bits and stream position, also at sizes around the
+    # sampler's block
     w, mu, sd = params.as_arrays()
-    for size in (0, 1, 10**5):
+    for size in (0, 1, 10**5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
         rng = np.random.default_rng(6)
         ref = copy.deepcopy(rng)
         draws = sample_log10_viral_load(params, rng, size)
@@ -75,6 +79,20 @@ def test_draws_equal_normal_with_per_draw_parameters(params):
         assert draws.shape == (size,)
         assert draws.tobytes() == expected.tobytes()
         assert rng.random() == ref.random()
+
+
+def test_draws_hold_little_beyond_the_loads_returned():
+    # the loads (8 bytes each), their one-byte components and block-sized
+    # scratch: about 10.1 bytes per load at 10**6 draws
+    size = 10**6
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        sample_viral_load(DEFAULT_GMM, rng, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / size < 11.5
 
 
 @pytest.fixture(scope="module")
