@@ -32,10 +32,10 @@ the delta' sampler and pooled-test draws. Most loads sit so far above the
 threshold that the tail is exactly 1.0 in double precision; a Chernoff bound
 gives, per (p, tau), a count beyond which that is certain, and those elements
 skip the incomplete-beta evaluation without changing a bit of the result. The
-counts left between tau and that cutoff are few distinct integers shared by
-many elements, so for a scalar p the kernel evaluates each distinct count of
-the window once in a table and gathers from it, again with the same betainc
-arguments per element and so the same bits.
+counts left between tau and that cutoff go through betainc once per element,
+so callers with many repeated counts pass each distinct count once:
+calibration sums its curve over a histogram, and the delta' estimator
+evaluates the distinct pooled counts of X.
 """
 
 import math
@@ -111,16 +111,8 @@ def binomial_tail(counts, p, tau):
     which then evaluates the small complement and subtracts it from 1, returns
     exactly 1.0 there too. An array p is screened per distinct value; one
     whose entries are all equal is treated as that scalar, with counts
-    broadcast against its shape.
-
-    The counts left in the window [tau, K_c) go through betainc. For a scalar
-    p and a finite cutoff, when the window is no wider than the number of
-    elements in it and all of them are integers, betainc is evaluated once per
-    window count, table[j] = I_p(tau, j + 1) for j = 0 .. K_c - tau - 1, and
-    each element reads table[K - tau]. Integer K and tau below 2**53 make
-    K - tau + 1 exact in double precision, so every element gets the very
-    arguments it would get on its own, and the table is never longer than the
-    per-element arrays it replaces. Either way the result is bit-identical to
+    broadcast against its shape. The counts left in the window [tau, K_c) go
+    through betainc once per element, so the result is bit-identical to
     evaluating every K >= tau through betainc.
     """
     K = np.asarray(counts, dtype=float)
@@ -137,15 +129,8 @@ def binomial_tail(counts, p, tau):
         p = np.broadcast_to(p, K.shape)
     out = np.asarray(K >= cutoff, dtype=float)
     m = (K >= tau) & (K < cutoff)
-    window = K[m] - tau
     # regularized incomplete beta: P(Binom(K,p) >= tau) = I_p(tau, K - tau + 1)
-    if p.ndim == 0 and cutoff - tau <= window.size:
-        index = window.astype(np.intp)
-        if np.array_equal(index, window):
-            table = betainc(float(tau), np.arange(int(cutoff - tau)) + 1.0, p)
-            out[m] = table[index]
-            return out
-    out[m] = betainc(float(tau), window + 1.0, p[m] if p.ndim else p)
+    out[m] = betainc(float(tau), K[m] - tau + 1.0, p[m] if p.ndim else p)
     return out
 
 
@@ -220,8 +205,8 @@ class StepSensitivity(_MeanLoadSensitivity):
     u0: float
 
     def __post_init__(self):
-        if self.u0 < 0:
-            raise ValueError("u0 must be non-negative")
+        if not 0 <= self.u0 < math.inf:
+            raise ValueError("u0 must be non-negative and finite")
 
     def _p(self, v):
         return np.where((v >= self.u0) & (v > 0), 1.0, 0.0)

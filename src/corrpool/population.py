@@ -31,7 +31,7 @@ class HouseholdDist:
             raise ValueError("household distribution needs exactly 6 weights (sizes 1..6)")
         if any(w < 0 for w in self.weights):
             raise ValueError("household weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValueError("household weights must sum to 1")
 
     def mean_size(self) -> float:

@@ -62,9 +62,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _stream(*key) -> np.random.Generator:
+    """A fresh generator on SeedSequence(key); every stream of a run is one."""
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
 def calibration_rng(master_seed: int) -> np.random.Generator:
     """The stream tau is calibrated on for a master seed, at every entry point."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, _TAG_CALIBRATION)))
+    return _stream(master_seed, _TAG_CALIBRATION)
 
 
 @dataclass
@@ -205,44 +210,35 @@ class StrategyTallies:
         return summarize_replications(self.S, self.D, self.pooled, self.followup, N)
 
 
-def _replication_tallies(configs: list[ScenarioConfig], tau: int, rep: int) -> list[dict[str, tuple]]:
-    """Replication rep of every cell, in cell order.
+def _replication_tallies(config: ScenarioConfig, cells, tau: int, rep: int) -> list[dict[str, tuple]]:
+    """Replication rep of every (alpha, pool size) cell, in cell order.
 
     Each cell draws its own population, but an assignment depends on neither
     alpha nor tau: a strategy's stream starts with a permutation, and the
     household sizes come off the population stream before any alpha-dependent
-    draw. So each strategy is assigned once per pool size, from the fresh
-    state of its stream, and each cell's protocol run resumes the stream from
-    the state that assignment left: every cell draws what it would alone.
+    draw. So each strategy is assigned once per pool size, from a fresh
+    stream, and each cell's protocol run resumes that stream from the state
+    the assignment left: every cell draws what it would alone.
     """
-    first = configs[0]
-    dist = first.resolve_dist()
-    sensitivity = first.resolve_sensitivity(tau)
-    rngs = {
-        strategy: np.random.default_rng(
-            np.random.SeedSequence((first.master_seed, rep, _TAG_STRATEGY[strategy]))
-        )
-        for strategy in first.strategies
-    }
-    fresh = {strategy: rng.bit_generator.state for strategy, rng in rngs.items()}
-    assigned = {}  # (strategy, pool size) -> (assignment, stream state after it)
+    dist = config.resolve_dist()
+    sensitivity = config.resolve_sensitivity(tau)
+    assigned = {}  # (strategy, pool size) -> (assignment, its stream, the state after it)
     out = []
-    for config in configs:
-        rng_pop = np.random.default_rng(np.random.SeedSequence((first.master_seed, rep, _TAG_POPULATION)))
-        pop = generate_population(first.population_size, dist, config.alpha, first.q, first.gmm, rng=rng_pop)
+    for alpha, n in cells:
+        rng_pop = _stream(config.master_seed, rep, _TAG_POPULATION)
+        pop = generate_population(config.population_size, dist, alpha, config.q, config.gmm, rng=rng_pop)
         cell = {}
-        for strategy, rng in rngs.items():
-            key = (strategy, config.pool_size)
-            if key not in assigned:
-                rng.bit_generator.state = fresh[strategy]
+        for strategy in config.strategies:
+            if (strategy, n) not in assigned:
+                rng = _stream(config.master_seed, rep, _TAG_STRATEGY[strategy])
                 if strategy == "naive":
-                    assignment = assign_naive(pop.size, config.pool_size, rng)
+                    assignment = assign_naive(pop.size, n, rng)
                 else:
-                    assignment = assign_correlated(pop, config.pool_size, rng)
-                assigned[key] = (assignment, rng.bit_generator.state)
-            assignment, state = assigned[key]
+                    assignment = assign_correlated(pop, n, rng)
+                assigned[strategy, n] = (assignment, rng, rng.bit_generator.state)
+            assignment, rng, state = assigned[strategy, n]
             rng.bit_generator.state = state
-            outcome = run_dorfman(pop, assignment, sensitivity, rng, first.pad_last_pool)
+            outcome = run_dorfman(pop, assignment, sensitivity, rng, config.pad_last_pool)
             cell[strategy] = (
                 outcome.total_S,
                 outcome.total_D,
@@ -262,20 +258,17 @@ def worker_count() -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
 
 
-def run_replications(configs: list[ScenarioConfig], tau: int) -> list[dict[str, StrategyTallies]]:
-    """Run all replications of every cell at threshold tau, one tallies dict per cell.
+def run_replications(config: ScenarioConfig, cells, tau: int) -> list[dict[str, StrategyTallies]]:
+    """Run all replications of every (alpha, pool size) cell of config at
+    threshold tau, one tallies dict per cell.
 
-    The cells differ in alpha and pool size only. With CORRPOOL_WORKERS > 1
-    one process pool runs them, a task being one replication of every cell.
-    Results come back in replication order and are split per cell, so output
-    is identical for any worker count.
+    With CORRPOOL_WORKERS > 1 one process pool runs them, a task being one
+    replication of every cell. Results come back in replication order and are
+    split per cell, so output is identical for any worker count.
     """
-    first = configs[0]
-    if any(replace(c, alpha=first.alpha, pool_size=first.pool_size) != first for c in configs):
-        raise ValueError("cells may differ in alpha and pool size only")
     workers = worker_count()
-    one = partial(_replication_tallies, configs, tau)
-    reps = range(first.replications)
+    one = partial(_replication_tallies, config, cells, tau)
+    reps = range(config.replications)
     if workers == 1 or len(reps) < 2 * workers:
         rows = list(map(one, reps))
     else:
@@ -288,7 +281,7 @@ def run_replications(configs: list[ScenarioConfig], tau: int) -> list[dict[str, 
             strategy: StrategyTallies(*np.array([row[c][strategy] for row in rows], dtype=np.int64).T)
             for strategy in config.strategies
         }
-        for c, config in enumerate(configs)
+        for c in range(len(cells))
     ]
 
 
@@ -299,19 +292,18 @@ def run_cells(config: ScenarioConfig, cells) -> tuple[int, list[dict[str, Strate
     repeats and the worker count are checked first, so a bad or repeated cell
     or a malformed CORRPOOL_WORKERS fails before tau calibration.
     """
-    configs = [replace(config, alpha=alpha, pool_size=n) for alpha, n in cells]
-    if not configs:
+    cells = list(cells)
+    if not cells:
         raise ConfigError("no (alpha, pool size) cells to run")
-    seen = set()
-    for cell in configs:
-        key = (cell.alpha, cell.pool_size)
-        if key in seen:
-            raise ConfigError(f"repeated (alpha, pool size) cell {key}")
-        seen.add(key)
-        household_infection_prob(cell.alpha, cell.q, cell.resolve_dist())
+    for alpha, n in cells:
+        replace(config, alpha=alpha, pool_size=n)  # validates the cell
+    for i, (alpha, n) in enumerate(cells):
+        if (alpha, n) in cells[:i]:
+            raise ConfigError(f"repeated (alpha, pool size) cell {(alpha, n)}")
+        household_infection_prob(alpha, config.q, config.resolve_dist())
     worker_count()
     tau = config.resolve_tau()
-    return tau, run_replications(configs, tau)
+    return tau, run_replications(config, cells, tau)
 
 
 @dataclass
@@ -394,9 +386,11 @@ def _jsonify(obj):
 
 
 def write_summary_json(result_dict: dict, path: str):
+    """Write the summary as strict JSON: a NaN or infinity raises ValueError
+    before the file is opened."""
+    text = json.dumps(_jsonify(result_dict), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="") as fh:
-        json.dump(_jsonify(result_dict), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(rows: list[dict], path: str):

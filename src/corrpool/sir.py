@@ -9,6 +9,7 @@ scales like 1/(sensitivity * efficiency), so pool sizes are chosen to maximize
 sensitivity * efficiency.
 """
 
+import math
 from dataclasses import dataclass
 
 from .runner import ScenarioConfig, run_cells
@@ -32,8 +33,8 @@ class SirState:
 
 
 def _validate_rates(b_i: float, b_r: float, f: float, sensitivity: float):
-    if b_i < 0 or b_r < 0 or f < 0:
-        raise ValueError("rates must be non-negative")
+    if not all(0 <= x < math.inf for x in (b_i, b_r, f)):
+        raise ValueError("rates must be non-negative and finite")
     if not 0.0 <= sensitivity <= 1.0:
         raise ValueError("sensitivity must be in [0, 1]")
     if b_r + f * sensitivity > 1.0:
@@ -124,8 +125,8 @@ def optimize_pool_size(
         raise ValueError("pool-size optimization needs at least 500 replications")
     if (b_i is None) != (b_r is None):
         raise ValueError("b_i and b_r must be given together")
-    if b_i is not None and (b_i < 0 or b_r < 0):
-        raise ValueError("b_i and b_r must be non-negative")
+    if b_i is not None and not (0 <= b_i < math.inf and 0 <= b_r < math.inf):
+        raise ValueError("b_i and b_r must be non-negative and finite")
 
     tau, results = run_cells(config, [(config.alpha, n) for n in candidate_sizes])
     best: dict[str, PolicyResult] = {}
@@ -142,7 +143,9 @@ def optimize_pool_size(
                     efficiency=summary.efficiency,
                     objective=objective,
                 )
-    for result in best.values():
+    for strategy, result in best.items():
+        if result.objective == 0:
+            raise ValueError(f"{strategy} pooling has zero sensitivity at every candidate pool size")
         result.relative_consumption = 1.0 / result.objective
         if b_i is not None:
             result.f_star = critical_frequency(b_i, b_r, result.sensitivity)

@@ -226,7 +226,9 @@ def estimate_delta_prime(
     v_miss = _sample_conditional(gmm, tau, n * B, keep_missed=True, rng=rng, max_draws=max_draws)
     b_x = v_miss.size // n
     pooled = v_miss[: b_x * n].reshape(b_x, n).sum(axis=1)
-    x = binomial_tail(np.rint(pooled), p_pool, tau)
+    # the pooled counts repeat: evaluate each distinct one once
+    counts, index = np.unique(np.rint(pooled), return_inverse=True)
+    x = binomial_tail(counts, p_pool, tau)[index]
 
     z_bar = float(z.mean())
     x_bar = float(x.mean())

@@ -6,6 +6,7 @@ linear copies. Cycle-threshold (Ct) values convert to log10 viral load via an
 affine calibration curve.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,12 @@ class GmmParams:
             raise ValueError("mixture needs at least one component")
         if any(w < 0 for w in self.weights):
             raise ValueError("mixture weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        if any(s <= 0 for s in self.sigmas):
-            raise ValueError("mixture sigmas must be positive")
+        if not all(math.isfinite(m) for m in self.mus):
+            raise ValueError("mixture means must be finite")
+        if not all(0 < s < math.inf for s in self.sigmas):
+            raise ValueError("mixture sigmas must be positive and finite")
 
     def as_arrays(self):
         return (np.asarray(self.weights), np.asarray(self.mus), np.asarray(self.sigmas))

@@ -40,7 +40,7 @@ def _run(alpha, pool_size, tau, replications, seed, variant=None):
     if variant is not None:
         kwargs["sensitivity_variant"] = variant
     cfg = ScenarioConfig(**kwargs)
-    (tallies,) = run_replications([cfg], tau)
+    (tallies,) = run_replications(cfg, [(alpha, pool_size)], tau)
     return cfg, tallies
 
 

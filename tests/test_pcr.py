@@ -223,31 +223,32 @@ def test_calibrate_tau_matches_unscreened_kernel(seed, beta_bar, expected_tau):
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_binomial_tail_table_switch_point(monkeypatch, extra):
-    # the window [tau, K_c) holds width - 1, width or width + 1 elements; the
-    # table (one betainc call of the window's width) takes over from width on
+def test_binomial_tail_calls_betainc_once_on_the_window(monkeypatch, extra):
+    # the window [tau, K_c) holds width - 1, width or width + 1 elements; one
+    # betainc call gets exactly those counts, in order, whatever their number
     p, tau = float(capture_probability(6)), 174
     cutoff = int(_certain_count(p, tau))
-    width = cutoff - tau
     window = np.arange(tau, cutoff, dtype=float)
     window = window[1:] if extra < 0 else np.concatenate([window, window[: extra]])
     counts = np.concatenate([[0.0, tau - 1.0, cutoff, 1e9], window[::-1]])
-    sizes = []
+    calls = []
 
-    def counting_betainc(a, b, x):
-        sizes.append(np.size(b))
+    def recording_betainc(a, b, x):
+        calls.append(np.array(b))
         return betainc(a, b, x)
 
-    monkeypatch.setattr(corrpool.pcr, "betainc", counting_betainc)
+    monkeypatch.setattr(corrpool.pcr, "betainc", recording_betainc)
     got = binomial_tail(counts, p, tau)
-    assert sizes == [width + extra if extra < 0 else width]
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], window[::-1] - tau + 1.0)
     assert np.array_equal(got, _betainc_tail(counts, p, tau))
 
 
 def test_binomial_tail_bit_identical_at_the_edges():
     p, tau = float(capture_probability(1)), 174
     cutoff = _certain_count(p, tau)
-    # an infinite cutoff (p = 1) and non-integer counts take the per-element path
+    # an infinite cutoff (p = 1) leaves every count from tau on to betainc;
+    # non-integer counts get the same arguments as the reference
     for counts, q in [
         (np.arange(0.0, 400.0), 1.0),
         (np.arange(tau, cutoff) + 0.5, p),
@@ -384,6 +385,9 @@ def test_params_validation():
     for tau in (0, True, 174.5):
         with pytest.raises(ValueError):
             RealisticSensitivity(tau)
+    for u0 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            StepSensitivity(u0)
 
 
 @pytest.mark.parametrize("tau", [1, 174, 1240])

@@ -84,6 +84,13 @@ MALFORMED_CONFIGS = {
     "strategies_duplicate": ("strategies", ["naive", "naive"]),
     "gmm_list": ("gmm", [1, 2, 3]),
     "gmm_string": ("gmm", "abc"),
+    "variant_u0_nan": ("sensitivity_variant", {"variant": "step", "u0": float("nan")}),
+    "variant_u0_inf": ("sensitivity_variant", {"variant": "step", "u0": float("inf")}),
+    "gmm_nan_weight": ("gmm", {"weights": [float("nan"), 1.0], "mus": [4.0, 6.0], "sigmas": [1.0, 1.0]}),
+    "gmm_nan_mean": ("gmm", {"weights": [1.0], "mus": [float("nan")], "sigmas": [1.0]}),
+    "gmm_inf_mean": ("gmm", {"weights": [1.0], "mus": [float("-inf")], "sigmas": [1.0]}),
+    "gmm_inf_sigma": ("gmm", {"weights": [1.0], "mus": [5.0], "sigmas": [float("inf")]}),
+    "household_nan": ("household_dist", [float("nan"), 0.5, 0.5, 0, 0, 0]),
 }
 
 
@@ -233,12 +240,6 @@ def test_sweep_assigns_once_per_strategy_and_pool_size(monkeypatch):
     run_sweep(config, [0.02, 0.05], [3, 6])
     for strategy, pool_sizes in calls.items():
         assert pool_sizes == [3, 6] * 3, strategy
-
-
-def test_cells_must_differ_in_alpha_and_pool_size_only():
-    config = ScenarioConfig(**SMALL)
-    with pytest.raises(ValueError):
-        corrpool.runner.run_replications([config, replace(config, q=0.2)], 174)
 
 
 def test_optimize_calibrates_tau_once_and_matches_standalone_cells(monkeypatch):
@@ -411,11 +412,15 @@ def test_cli_malformed_workers_env_fails_before_tau_calibration(monkeypatch, cap
         (["optimize", "--candidates", "4,6", "--replications", "500", "--b-r", "0.05"], 2),
         (["optimize", "--candidates", "4,6", "--replications", "500", "--b-i", "-1", "--b-r", "0.1"], 2),
         (["optimize", "--candidates", "4,6", "--replications", "500", "--b-i", "0.3", "--b-r", "-0.1"], 2),
+        (["optimize", "--candidates", "2,4", "--replications", "500", "--b-i", "nan", "--b-r", "0.1"], 2),
+        (["optimize", "--candidates", "2,4", "--replications", "500", "--b-i", "0.3", "--b-r", "inf"], 2),
+        (["simulate", "--household-dist", "nan,0.5,0.5,0,0,0"], 2),
     ],
     ids=[
         "sweep_alpha", "sweep_infeasible", "optimize_pool_size", "optimize_infeasible", "simulate_infeasible",
         "sweep_repeated_pool_size", "sweep_repeated_alpha", "optimize_b_i_alone", "optimize_b_r_alone",
-        "optimize_b_i_negative", "optimize_b_r_negative",
+        "optimize_b_i_negative", "optimize_b_r_negative", "optimize_b_i_nan", "optimize_b_r_inf",
+        "simulate_household_nan",
     ],
 )
 def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
@@ -578,6 +583,8 @@ def test_cli_sir_negative_days_exits_2(tmp_path, capsys):
          "rates must be non-negative"),
         (["--b-i", "0.3", "--b-r", "0.1", "--sensitivity", "1.5", "--f", "0.1", "--days", "0"],
          "sensitivity must be in [0, 1]"),
+        (["--b-i", "nan", "--b-r", "0.1", "--sensitivity", "0.9", "--f", "0.1", "--days", "0"],
+         "rates must be non-negative and finite"),
     ]:
         assert main(["sir", *args, "--output", str(out)]) == 2
         assert not out.exists()
@@ -635,6 +642,29 @@ def test_optimize_json_without_rates_holds_null(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["candidates"] == [2]
     assert payload["b_i"] is None and payload["b_r"] is None
+
+
+def test_optimize_with_a_test_that_never_detects_exits_2(tmp_path, capsys):
+    # a step threshold no pool reaches: every strategy's best objective is 0,
+    # which has no relative consumption
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sensitivity_variant": {"variant": "step", "u0": 1e30}}))
+    out = tmp_path / "opt.json"
+    argv = ["optimize", "--config", str(cfg), "--tau", "174", "--population-size", "60",
+            "--replications", "500", "--candidates", "2,4", "--output-json", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: naive pooling has zero sensitivity at every candidate pool size\n"
+    assert not out.exists()
+
+
+def test_summary_json_rejects_non_finite_numbers(tmp_path):
+    # a NaN or infinity is no JSON token: nothing is written
+    for value in (float("nan"), float("inf")):
+        out = tmp_path / "summary.json"
+        with pytest.raises(ValueError):
+            write_summary_json({"f_star": value}, str(out))
+        assert not out.exists()
 
 
 def test_replication_rows_roundtrip():

@@ -95,6 +95,9 @@ def test_step_rejects_invalid_rates():
         sir_step(state, -0.1, 0.05, 0.0, 1.0)
     with pytest.raises(ValueError):
         sir_step(state, 0.15, 0.6, 0.5, 1.0)  # removal fraction above 1
+    for rates in [(float("nan"), 0.05, 0.0), (0.15, float("inf"), 0.0), (0.15, 0.05, float("nan"))]:
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            sir_step(state, *rates, 1.0)
 
 
 def test_consumption_reduction():

@@ -183,3 +183,32 @@ def test_delta_prime_draws_every_load_through_the_theory_sampler(monkeypatch):
     kept = 10**5 + 2 * expected.achieved_b
     assert len(draws) > 1
     assert 0.03 < kept / sum(draws) < 0.08
+
+
+def test_delta_prime_evaluates_each_distinct_pooled_count_once(monkeypatch):
+    # X's tail goes through binomial_tail once per distinct rounded pool
+    # total, with the bits of evaluating every pool
+    n, tau = 2, 174
+    p_pool = float(capture_probability(n))
+    samples, calls = [], []
+
+    def recording_sampler(gmm, tau, needed, keep_missed, rng, max_draws):
+        loads = _sample_conditional(gmm, tau, needed, keep_missed, rng, max_draws)
+        samples.append(loads)
+        return loads
+
+    def recording_tail(counts, p, tau):
+        out = binomial_tail(counts, p, tau)
+        calls.append((np.array(counts), out))
+        return out
+
+    monkeypatch.setattr(corrpool.theory, "_sample_conditional", recording_sampler)
+    monkeypatch.setattr(corrpool.theory, "binomial_tail", recording_tail)
+    est = estimate_delta_prime(n, 0.05, tau, DEFAULT_GMM, B=10**5, bootstrap_reps=5, rng=np.random.default_rng(4))
+    v_miss = samples[-1]
+    counts = np.rint(v_miss[: est.achieved_b * n].reshape(-1, n).sum(axis=1))
+    distinct, tails = calls[-1]
+    assert np.array_equal(distinct, np.unique(counts)) and distinct.size < counts.size
+    expected = binomial_tail(counts, p_pool, tau)
+    assert np.array_equal(tails[np.searchsorted(distinct, counts)], expected)
+    assert est.x_bar == float(expected.mean())

@@ -46,6 +46,17 @@ def test_gmm_validation():
         GmmParams((0.5, 0.5), (1.0, 2.0), (1.0, 0.0))  # zero sigma
     with pytest.raises(ValueError):
         GmmParams((1.0,), (1.0,), (1.0, 1.0))  # length mismatch
+    nan, inf = float("nan"), float("inf")
+    for weights, mus, sigmas in [
+        ((nan, 1.0), (1.0, 2.0), (1.0, 1.0)),
+        ((inf, 1.0), (1.0, 2.0), (1.0, 1.0)),
+        ((1.0,), (nan,), (1.0,)),
+        ((1.0,), (inf,), (1.0,)),
+        ((1.0,), (1.0,), (nan,)),
+        ((1.0,), (1.0,), (inf,)),
+    ]:
+        with pytest.raises(ValueError):
+            GmmParams(weights, mus, sigmas)
 
 
 def test_degenerate_single_component_draws():
