@@ -180,6 +180,8 @@ def _cmd_delta_bound(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    if args.grid < 2:
+        raise ConfigError(f"--grid must be at least 2, got {args.grid}")
     grid = np.linspace(0.0, 1.0, args.grid + 2)[1:-1]
     rows = []
     for t1 in grid:

@@ -24,8 +24,9 @@ total_load / pool_size, and their draws compare one uniform per test with it.
 All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target. One
-call draws the infected loads once, sums the rate over one histogram of their
-distinct counts and searches that curve upward from tau = 1 for each target.
+call draws the infected loads once and sorts their counts; each probe of the
+search, upward from tau = 1 for each target, sums the rate over the distinct
+counts below that tau's certain count.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
@@ -34,7 +35,7 @@ gives, per (p, tau), a count beyond which that is certain, and those elements
 skip the incomplete-beta evaluation without changing a bit of the result. The
 counts left between tau and that cutoff go through betainc once per element,
 so callers with many repeated counts pass each distinct count once:
-calibration sums its curve over a histogram, and the delta' estimator
+calibration sums its curve over the distinct counts, and the delta' estimator
 evaluates the distinct pooled counts of X.
 """
 
@@ -106,31 +107,21 @@ def _certain_count(p: float, tau: int) -> float:
 def binomial_tail(counts, p, tau):
     """P(Binomial(K, p) >= tau), vectorized over K and p; 0 where K < tau.
 
-    Counts at or above the Chernoff cutoff K_c of their (p, tau) get 1.0
-    without calling betainc: their lower tail is below 2**-60, so betainc,
-    which then evaluates the small complement and subtracts it from 1, returns
-    exactly 1.0 there too. An array p is screened per distinct value; one
-    whose entries are all equal is treated as that scalar, with counts
-    broadcast against its shape. The counts left in the window [tau, K_c) go
+    Counts and p are broadcast together, and one Chernoff cutoff K_c is taken
+    from the smallest p. The lower tail falls as p grows, so at K >= K_c every
+    element's lower tail is below 2**-60 and it gets 1.0 without calling
+    betainc; betainc, which then evaluates the small complement and subtracts
+    it from 1, returns exactly 1.0 there too, also for an element whose own
+    p has a smaller cutoff. The counts left in the window [tau, K_c) go
     through betainc once per element, so the result is bit-identical to
     evaluating every K >= tau through betainc.
     """
-    K = np.asarray(counts, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if p.ndim and p.size and (p == p.flat[0]).all():
-        K = np.broadcast_to(K, np.broadcast_shapes(K.shape, p.shape))
-        p = p.flat[0]
-    if p.ndim == 0:
-        cutoff = _certain_count(float(p), int(tau))
-    else:
-        values, inverse = np.unique(p.ravel(), return_inverse=True)
-        cutoffs = np.array([_certain_count(float(v), int(tau)) for v in values])
-        cutoff = np.broadcast_to(cutoffs[inverse].reshape(p.shape), K.shape)
-        p = np.broadcast_to(p, K.shape)
+    K, p = np.broadcast_arrays(np.asarray(counts, dtype=float), np.asarray(p, dtype=float))
+    cutoff = _certain_count(float(p.min()), int(tau)) if p.size else math.inf
     out = np.asarray(K >= cutoff, dtype=float)
     m = (K >= tau) & (K < cutoff)
     # regularized incomplete beta: P(Binom(K,p) >= tau) = I_p(tau, K - tau + 1)
-    out[m] = betainc(float(tau), K[m] - tau + 1.0, p[m] if p.ndim else p)
+    out[m] = betainc(float(tau), K[m] - tau + 1.0, p[m])
     return out
 
 
@@ -277,27 +268,20 @@ def _smallest_tau(beta, target):
 
 
 def _fnr_curve(K, p):
-    """calibrate_tau's FNR estimate on the rounded loads K, as a function of tau.
+    """calibrate_tau's FNR estimate on the sorted rounded loads K, as a function of tau.
 
     Counts at or above K_c(p, tau) have a tail of exactly 1.0 and count as
-    sure hits, an exact integer; the tails of the distinct counts below K_c
-    are weighted by their multiplicities and summed by numpy, not BLAS. So the
-    curve depends on K and tau alone, not on the histogram it is read from:
-    the counts below L = 8 K_c(tau), rebuilt when a probe's K_c exceeds L.
+    sure hits, an exact integer; each probe takes the distinct counts below
+    K_c, the prefix of K that searchsorted finds, weights their tails by their
+    multiplicities and sums them by numpy, not BLAS. The curve keeps no state
+    between probes, so it depends on K and tau alone.
     """
-    bound = 0.0
-    values = counts = None
 
     def beta_bar(tau):
-        nonlocal bound, values, counts
-        certain = _certain_count(p, tau)
-        if certain > bound:
-            bound = 8.0 * certain
-            values, counts = np.unique(K[K < bound], return_counts=True)
-        below = np.searchsorted(values, certain)
-        sure = K.size - int(counts[:below].sum())
-        tails = binomial_tail(values[:below], p, tau)
-        return 1.0 - (sure + (counts[:below] * tails).sum()) / K.size
+        below = int(np.searchsorted(K, _certain_count(p, tau)))
+        values, counts = np.unique(K[:below], return_counts=True)
+        tails = binomial_tail(values, p, tau)
+        return 1.0 - (K.size - below + (counts * tails).sum()) / K.size
 
     return beta_bar
 
@@ -321,5 +305,6 @@ def calibrate_tau(
     for target in targets:
         check_calibration(target, draws)
     K = np.rint(sample_viral_load(gmm, rng, size=draws))
+    K.sort()
     beta_bar = _fnr_curve(K, float(capture_probability(1)))
     return [_smallest_tau(beta_bar, target) for target in targets]

@@ -14,8 +14,8 @@ results split back per cell are those of the cell run on its own. The cells of
 a task share each strategy's assignment per pool size, since it depends on
 neither alpha nor tau, and every cell still runs its protocol from the stream
 state it would have alone. A malformed config, including its sensitivity
-variant, its strategies and its integer and boolean fields, and an infeasible
-cell fail before any tau calibration.
+variant, its strategies and its integer, real and boolean fields, and an
+infeasible cell fail before any tau calibration.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _stream(*key) -> np.random.Generator:
     """A fresh generator on SeedSequence(key); every stream of a run is one."""
     return np.random.default_rng(np.random.SeedSequence(key))
@@ -91,10 +95,10 @@ class ScenarioConfig:
     gmm: GmmParams = DEFAULT_GMM
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ConfigError("alpha must be in (0, 1)")
-        if not 0 <= self.q <= 1:
-            raise ConfigError("q must be in [0, 1]")
+        if not (_is_real(self.alpha) and 0 < self.alpha < 1):
+            raise ConfigError(f"alpha must be a number in (0, 1), got {self.alpha!r}")
+        if not (_is_real(self.q) and 0 <= self.q <= 1):
+            raise ConfigError(f"q must be a number in [0, 1], got {self.q!r}")
         for name in ("pool_size", "population_size", "replications"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -109,11 +113,15 @@ class ScenarioConfig:
             if self.tau is not None:
                 RealisticSensitivity(self.tau)  # the one check of a threshold, whatever the variant
             if self.beta_bar is not None:
+                if not _is_real(self.beta_bar):
+                    raise TypeError(f"beta_bar must be a number, got {self.beta_bar!r}")
                 check_calibration(self.beta_bar)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if not isinstance(self.gmm, GmmParams):
             raise ConfigError(f"gmm must be an object with weights, mus and sigmas, got {self.gmm!r}")
+        if not all(map(_is_real, (*self.gmm.weights, *self.gmm.mus, *self.gmm.sigmas))):
+            raise ConfigError(f"gmm entries must be numbers, got {self.gmm!r}")
         if not isinstance(self.strategies, (list, tuple)):
             raise ConfigError(f"strategies must be a list of strategy names, got {self.strategies!r}")
         for s in self.strategies:
@@ -154,6 +162,8 @@ class ScenarioConfig:
                     f"unknown household distribution {self.household_dist!r}; "
                     f"known: {sorted(HOUSEHOLD_DISTS)}"
                 ) from None
+        if not all(map(_is_real, self.household_dist)):
+            raise ConfigError(f"household_dist entries must be numbers, got {self.household_dist!r}")
         try:
             return HouseholdDist(tuple(self.household_dist))
         except ValueError as exc:
@@ -178,11 +188,14 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown sensitivity_variant keys for {variant}: {sorted(unknown)}")
         try:
+            params = [v[key] for key in _VARIANT_KEYS[variant]]
+            if not all(map(_is_real, params)):
+                raise TypeError("its parameters must be numbers")
             if variant == "realistic":
                 return RealisticSensitivity(tau)
             if variant == "step":
-                return StepSensitivity(float(v["u0"]))
-            return PiecewiseSensitivity(float(v["theta1"]), float(v["theta2"]))
+                return StepSensitivity(*params)
+            return PiecewiseSensitivity(*params)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid sensitivity_variant {v!r}: {exc!r}") from exc
 

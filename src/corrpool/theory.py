@@ -44,11 +44,19 @@ class CounterexampleResult:
     eff1: float
 
 
-def _validate_counterexample_args(theta1, theta2, alpha):
-    if not 0 < theta1 < theta2 < 1:
-        raise ValueError("need 0 < theta1 < theta2 < 1")
+def _validate_counterexample_args(theta1, theta2, alpha) -> PiecewiseSensitivity:
+    sens = PiecewiseSensitivity(theta1, theta2)
     if not 0 < alpha < 2.0 / 3.0:
         raise ValueError("alpha must be in (0, 2/3) so the joint table is a distribution")
+    return sens
+
+
+def _eta_and_efficiency(e_y: float, beta: float, alpha: float) -> tuple[float, float]:
+    """eta = n E[Y] / (E[S] (1 - beta)) and efficiency = 1 / (1/n + alpha eta (1 - beta))
+    of a size-2 pool, whose expected infected count is E[S] = n alpha."""
+    n = _POOL_SIZE
+    eta = n * e_y / (n * alpha * (1.0 - beta))
+    return eta, 1.0 / (1.0 / n + alpha * eta * (1.0 - beta))
 
 
 def counterexample_closed_form(theta1: float, theta2: float, alpha: float) -> CounterexampleResult:
@@ -59,11 +67,8 @@ def counterexample_closed_form(theta1: float, theta2: float, alpha: float) -> Co
     beta0 = 1.0 - a * (t2**2 / 2.0 + t2 / 4.0 + 0.25) - (1.0 - a) * (t1 * t2 / 2.0 + t1 / 2.0)
     ey0 = 2.0 * a * (1.0 - a) * t1 + 0.75 * a**2 * t2 + a**2 / 4.0
     ey1 = a * t1 + a * t2 / 2.0
-    n = _POOL_SIZE
-    eta0 = n * ey0 / (n * a * (1.0 - beta0))
-    eta1 = n * ey1 / (n * a * (1.0 - beta1))
-    eff0 = 1.0 / (1.0 / n + a * eta0 * (1.0 - beta0))
-    eff1 = 1.0 / (1.0 / n + a * eta1 * (1.0 - beta1))
+    eta0, eff0 = _eta_and_efficiency(ey0, beta0, a)
+    eta1, eff1 = _eta_and_efficiency(ey1, beta1, a)
     return CounterexampleResult(beta0, beta1, ey0, ey1, eta0, eta1, eff0, eff1)
 
 
@@ -87,17 +92,13 @@ def _enumerate_pool(joint, sens: PiecewiseSensitivity, alpha: float):
                     e_y += p_out * y
                     e_d += p_out * y * (w1 + w2)
                     e_fn += p_out * ((v1 > 0) * (1 - y * w1) + (v2 > 0) * (1 - y * w2))
-    e_s = 2.0 * alpha
-    beta = e_fn / e_s
-    eta = _POOL_SIZE * e_y / (e_s * (1.0 - beta))
-    eff = 1.0 / (1.0 / _POOL_SIZE + alpha * eta * (1.0 - beta))
-    return beta, e_y, eta, eff
+    beta = e_fn / (_POOL_SIZE * alpha)
+    return beta, e_y, *_eta_and_efficiency(e_y, beta, alpha)
 
 
 def counterexample_enumerate(theta1: float, theta2: float, alpha: float) -> CounterexampleResult:
     """Independent oracle for the closed forms via exhaustive enumeration."""
-    _validate_counterexample_args(theta1, theta2, alpha)
-    sens = PiecewiseSensitivity(theta1, theta2)
+    sens = _validate_counterexample_args(theta1, theta2, alpha)
     a = alpha
     correlated = [((0, 0), 1.0 - 1.5 * a), ((0, 3), a / 2.0), ((3, 0), a / 2.0), ((2, 2), a / 2.0)]
     marginal = [(0, 1.0 - a), (2, a / 2.0), (3, a / 2.0)]

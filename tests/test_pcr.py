@@ -178,13 +178,26 @@ def test_binomial_tail_bit_identical_to_betainc(gmm_counts, n, tau):
 
 def test_binomial_tail_bit_identical_for_per_pool_p(gmm_counts):
     # shaped like draw_positive's input: per-pool totals with the pool's own
-    # dilution, most pools full and a ragged remainder
+    # dilution, most pools full and a ragged remainder; plus, for each pool
+    # size, the counts within 300 of its own cutoff at its own p. The one
+    # cutoff comes from the smallest p, so a count past its own cutoff but
+    # below that one goes through betainc, which must give exactly 1.0 there
     rng = np.random.default_rng(5)
-    sizes = np.where(rng.random(20000) < 0.9, 6, rng.integers(1, 6, 20000))
-    totals = np.add.reduceat(gmm_counts[: sizes.sum()], np.cumsum(sizes) - sizes)
-    p = capture_probability(sizes)
-    got = binomial_tail(totals, p, 174)
-    assert np.array_equal(got, _betainc_tail(totals, p, 174))
+    for largest in (6, 40):
+        sizes = np.where(rng.random(20000) < 0.9, largest, rng.integers(1, largest, 20000))
+        totals = np.add.reduceat(gmm_counts[: sizes.sum()], np.cumsum(sizes) - sizes)
+        for tau in (1, 174, 1240):
+            counts, pool_sizes, own_cutoff = [totals], [sizes], [np.full(sizes.size, np.inf)]
+            for n in np.unique(sizes):
+                cutoff = _certain_count(float(capture_probability(n)), tau)
+                near = np.arange(max(0.0, cutoff - 300), cutoff + 300)
+                counts.append(near)
+                pool_sizes.append(np.full(near.size, n))
+                own_cutoff.append(np.full(near.size, cutoff))
+            counts, p = np.concatenate(counts), capture_probability(np.concatenate(pool_sizes))
+            got = binomial_tail(counts, p, tau)
+            assert np.array_equal(got, _betainc_tail(counts, p, tau))
+            assert np.all(got[counts >= np.concatenate(own_cutoff)] == 1.0)
 
 
 def _bisection_tau(beta_bar, rng, draws=10**6):
@@ -279,7 +292,7 @@ def test_calibrate_tau_on_the_runner_stream(seed, expected):
 
 
 def test_calibrate_tau_evaluates_tails_on_distinct_counts_only(monkeypatch):
-    # the curve is summed over a histogram of the counts: no tail is ever
+    # the curve is summed over the distinct counts: no tail is ever
     # evaluated on the whole sample of 10**6 draws
     sizes = []
     tail = corrpool.pcr.binomial_tail
@@ -297,7 +310,7 @@ def test_calibrate_tau_evaluates_tails_on_distinct_counts_only(monkeypatch):
 
 def test_calibrate_tau_targets_in_any_order():
     # every target gets the tau of a call of its own on the same stream,
-    # however the targets before it moved the histogram's bound
+    # whatever the targets before it probed
     draws = 10**5
     alone = {b: calibrate_tau([b], DEFAULT_GMM, _runner_stream(0), draws=draws)[0] for b in (0.05, 0.5)}
     for targets in ([0.5, 0.05], [0.05, 0.5]):
@@ -306,9 +319,10 @@ def test_calibrate_tau_targets_in_any_order():
 
 
 def test_fnr_curve_matches_the_mean_over_every_draw():
-    # the histogram curve is the full-sample mean up to summation order, and a
-    # function of tau alone: probing in either order gives the same bits
-    K = np.rint(sample_viral_load(DEFAULT_GMM, _runner_stream(0), size=10**6))
+    # the curve on the distinct counts is the full-sample mean up to
+    # summation order, and a function of tau alone: probing in either order
+    # gives the same bits
+    K = np.sort(np.rint(sample_viral_load(DEFAULT_GMM, _runner_stream(0), size=10**6)))
     p = float(capture_probability(1))
     taus = [1, 108, 176, 1240, 28533]
     up = corrpool.pcr._fnr_curve(K, p)
@@ -343,9 +357,9 @@ def test_smallest_tau_on_a_step_curve():
         search(lambda tau: 0.0, 0.05)
 
 
-def test_calibrate_tau_rebuilds_the_guide_histogram():
-    # at beta_bar = 0.5 tau is in the tens of thousands, so the histogram's
-    # bound L = 8 K_c is raised several times on the way up
+def test_calibrate_tau_at_half_fnr_matches_bisection():
+    # at beta_bar = 0.5 tau is in the tens of thousands, so the probes reach
+    # certain counts far above those of the common targets
     for seed in (0, 1):
         expected = _bisection_tau(0.5, _runner_stream(seed), draws=10**5)[0]
         assert calibrate_tau([0.5], DEFAULT_GMM, _runner_stream(seed), draws=10**5) == [expected]
@@ -391,19 +405,11 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("tau", [1, 174, 1240])
-def test_binomial_tail_equal_valued_p_takes_the_scalar_path(monkeypatch, gmm_counts, tau):
+def test_binomial_tail_equal_valued_p_matches_the_scalar(gmm_counts, tau):
     # draw_positive passes one p per pool, all equal when n divides N
     counts = gmm_counts[:3000]
     p = float(capture_probability(6))
-    p_dims = []
-
-    def recording_betainc(a, b, x):
-        p_dims.append(np.ndim(x))
-        return betainc(a, b, x)
-
-    monkeypatch.setattr(corrpool.pcr, "betainc", recording_betainc)
     got = binomial_tail(counts, np.full(counts.shape, p), tau)
-    assert set(p_dims) == {0}
     assert got.shape == counts.shape
     assert np.array_equal(got, binomial_tail(counts, p, tau))
     # counts broadcast against p's shape

@@ -91,6 +91,11 @@ MALFORMED_CONFIGS = {
     "gmm_inf_mean": ("gmm", {"weights": [1.0], "mus": [float("-inf")], "sigmas": [1.0]}),
     "gmm_inf_sigma": ("gmm", {"weights": [1.0], "mus": [5.0], "sigmas": [float("inf")]}),
     "household_nan": ("household_dist", [float("nan"), 0.5, 0.5, 0, 0, 0]),
+    "q_bool": ("q", True),
+    "variant_u0_bool": ("sensitivity_variant", {"variant": "step", "u0": True}),
+    "variant_theta_strings": ("sensitivity_variant", {"variant": "piecewise", "theta1": "0.2", "theta2": "0.5"}),
+    "gmm_bool_weight": ("gmm", {"weights": [True], "mus": [5.0], "sigmas": [1.0]}),
+    "household_bools": ("household_dist", [True, False, False, False, False, False]),
 }
 
 
@@ -432,23 +437,26 @@ def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["delta-bound", "--bootstrap-reps", "0"],
-        ["delta-bound", "--bootstrap-reps", "-3"],
-        ["delta-bound", "--n", "1"],
-        ["delta-bound", "--b", "10"],
-        ["delta-bound", "--beta-bar", "0.7"],
-        ["calibrate", "--beta-bar", "0.05,0.7"],
-        ["calibrate", "--beta-bar", "0.05", "--draws", "10"],
-        ["calibrate", "--beta-bar", ",", "--output", os.devnull],
+        (["delta-bound", "--bootstrap-reps", "0"], "bootstrap_reps"),
+        (["delta-bound", "--bootstrap-reps", "-3"], "bootstrap_reps"),
+        (["delta-bound", "--n", "1"], "n must"),
+        (["delta-bound", "--b", "10"], "B must"),
+        (["delta-bound", "--beta-bar", "0.7"], "beta_bar"),
+        (["calibrate", "--beta-bar", "0.05,0.7"], "beta_bar"),
+        (["calibrate", "--beta-bar", "0.05", "--draws", "10"], "draws"),
+        (["calibrate", "--beta-bar", ",", "--output", os.devnull], "--beta-bar"),
+        (["counterexample", "--grid", "-3", "--output", os.devnull], "--grid"),
+        (["counterexample", "--grid", "0", "--output", os.devnull], "--grid"),
+        (["counterexample", "--grid", "1", "--output", os.devnull], "--grid"),
     ],
     ids=[
         "reps_zero", "reps_negative", "n_one", "b_small", "delta_beta_bar", "calibrate_beta_bar", "draws",
-        "calibrate_no_target",
+        "calibrate_no_target", "grid_negative", "grid_zero", "grid_one",
     ],
 )
-def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv):
+def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv, named):
     def never_calibrate(*args, **kwargs):
         raise AssertionError("calibrate_tau called before every argument was checked")
 
@@ -457,6 +465,7 @@ def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(("error: ", "configuration error: ")) and "Traceback" not in captured.err
+    assert named in captured.err
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
