@@ -267,19 +267,29 @@ def _smallest_tau(beta, target):
     return hi
 
 
+def _distinct_sorted(a):
+    """np.unique(a, return_counts=True) of a sorted 1-d array, without sorting
+    it again: a run of equal values starts where neighbours differ."""
+    starts = np.flatnonzero(a[1:] != a[:-1]) + 1
+    if a.size:
+        starts = np.concatenate(([0], starts))
+    return a[starts], np.diff(np.append(starts, a.size))
+
+
 def _fnr_curve(K, p):
     """calibrate_tau's FNR estimate on the sorted rounded loads K, as a function of tau.
 
     Counts at or above K_c(p, tau) have a tail of exactly 1.0 and count as
     sure hits, an exact integer; each probe takes the distinct counts below
-    K_c, the prefix of K that searchsorted finds, weights their tails by their
-    multiplicities and sums them by numpy, not BLAS. The curve keeps no state
-    between probes, so it depends on K and tau alone.
+    K_c, the prefix of K that searchsorted finds (see _distinct_sorted),
+    weights their tails by their multiplicities and sums them by numpy, not
+    BLAS. The curve keeps no state between probes, so it depends on K and tau
+    alone.
     """
 
     def beta_bar(tau):
         below = int(np.searchsorted(K, _certain_count(p, tau)))
-        values, counts = np.unique(K[:below], return_counts=True)
+        values, counts = _distinct_sorted(K[:below])
         tails = binomial_tail(values, p, tau)
         return 1.0 - (K.size - below + (counts * tails).sum()) / K.size
 

@@ -13,11 +13,14 @@ combines a normal interval for E[Z] with a bootstrap percentile interval for
 E[X] into a conservative ratio interval. The sampler screens out certain
 hits: a load at or above the individual test's certain count K_c, about nine
 in ten at beta_bar = 5%, is a hit without evaluating its tail, and the result
-is bit-identical to evaluating every tail (see _sample_conditional). It draws
-up to 4e6 loads per chunk, and their normals and accept uniforms in blocks of
-2**16. By tracemalloc, drawing the loads peaks at about 10.1 bytes per load
-and either pass at about 11.3 bytes per chunk load (tests/test_theory.py
-holds it under 13).
+is bit-identical to evaluating every tail (see _sample_conditional). A chunk
+of up to 4e6 loads draws its one-byte categories at once, then its loads and
+accept uniforms in blocks of 2**16, keeping only the loads the pass can
+return. By tracemalloc a pass peaks at about 5.6 (misses) and 8.3 (hits)
+bytes per chunk load, the result of `needed` loads included
+(tests/test_theory.py holds them under 6.4 and 9.5).
+delta_prime_quadrature computes the same delta' exactly over integer counts;
+it is the sampler's oracle and is not wired into the CLI.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pcr import PiecewiseSensitivity, _certain_count, binomial_tail, capture_probability
-from .viral import _BLOCK, GmmParams, sample_viral_load
+from .viral import _BLOCK, GmmParams, count_pmf, sample_categories, sample_viral_load
 
 _POOL_SIZE = 2  # the counterexample is built on pools of two
 
@@ -121,31 +124,53 @@ class DeltaPrimeEstimate:
     ci_reliable: bool = True
 
 
-def _accept(v, keep_missed, tails, certain, rng, buf, limit):
-    """The first `limit` loads of one chunk that the individual test misses
-    (keep_missed) or hits, in order, drawing one uniform per load from rng.
+def _candidates(gmm, comp, keep_missed, certain, rng, limit):
+    """Draw the chunk's loads for categories comp, _BLOCK at a time, and keep
+    per block the loads the pass can return.
 
-    The uniforms are drawn buf.size at a time into buf, which gives the same
-    doubles in the same stream order as one rng.random(v.size). A block looks
-    up the tails of its loads under the certain count in `tails`, indexed by
-    rint(v), and keeps only the indices of its misses; the hit pass deletes
-    the misses before the limit-th hit from the loads up to it.
+    The miss pass keeps (loads, offsets in the block) of the loads under the
+    certain count; the hit pass keeps every load up to the limit-th load at or
+    above it, a sure hit, since the limit-th hit cannot come later.
     """
-    missed = []
-    for start in range(0, v.size, buf.size):
-        u = buf[: v.size - start]
+    kept = []
+    sure = 0
+    for start in range(0, comp.size, _BLOCK):
+        k = comp[start : start + _BLOCK]
+        v = sample_viral_load(gmm, rng, k.size, components=k)
+        if keep_missed:
+            low = np.flatnonzero(v < certain)
+            kept.append((v[low], low))
+        elif sure < limit:
+            high = np.count_nonzero(v >= certain)
+            if sure + high >= limit:
+                v = v[: np.flatnonzero(v >= certain)[limit - sure - 1] + 1]
+            sure += high
+            kept.append((v, None))
+    return kept
+
+
+def _accept(kept, keep_missed, tails, certain, rng, buf, size, out, filled):
+    """Write the chunk's accepted loads, in order, into out[filled:] until it
+    is full, drawing one uniform per chunk load into buf, buf.size at a time:
+    the same doubles in the same stream order as one rng.random(size). A
+    block looks up the tails of its loads under the certain count in `tails`,
+    indexed by rint(v). Returns the new fill."""
+    for i, start in enumerate(range(0, size, buf.size)):
+        u = buf[: size - start]
         rng.random(out=u)
-        block = v[start : start + u.size]
-        low = np.flatnonzero(block < certain)
-        low = low[u[low] >= tails[np.rint(block[low]).astype(np.intp)]]
-        missed.append(low + start)
-    missed = np.concatenate(missed)
-    if keep_missed:
-        return v[missed[:limit]]
-    # miss j has missed[j] - j hits before it; the limit-th hit follows the
-    # misses with fewer than limit hits before them
-    cut = int(np.searchsorted(missed - np.arange(missed.size), limit))
-    return np.delete(v[: limit + cut], missed[:cut])
+        if i >= len(kept) or filled == out.size:
+            continue
+        v, low = kept[i]
+        kept[i] = None
+        if keep_missed:
+            v = v[u[low] >= tails[np.rint(v).astype(np.intp)]]
+        else:
+            low = np.flatnonzero(v < certain)
+            v = np.delete(v, low[u[low] >= tails[np.rint(v[low]).astype(np.intp)]])
+        v = v[: out.size - filled]
+        out[filled : filled + v.size] = v
+        filled += v.size
+    return filled
 
 
 def _sample_conditional(
@@ -163,29 +188,60 @@ def _sample_conditional(
     without evaluating its tail: K_c is an integer, so rint(v) >= K_c, the
     tail is exactly 1.0 and every uniform lies below it. The tails of the
     counts 0..K_c are evaluated once per pass; binomial_tail gives each count
-    the same bits alone or in an array. Besides its loads a chunk holds
-    block-sized scratch and the indices of its misses, never a chunk-sized
-    array of uniforms or normals, and its loads are freed before the next
-    chunk is drawn. The result is an owned array of at most `needed` loads;
-    the kept loads and the stream position are those of drawing the chunk's
-    uniforms at once and evaluating every load's tail.
+    the same bits alone or in an array. A chunk draws its categories, then
+    its loads block by block, keeping only those the pass can return (see
+    _candidates), then frees the categories and draws its accept uniforms
+    block by block; it never holds a chunk-sized array of loads, normals or
+    uniforms. The result is an owned array of at most `needed` loads; the
+    kept loads and the stream position are those of drawing the chunk's loads
+    and uniforms at once and evaluating every load's tail.
     """
     p_ind = float(capture_probability(1))
     certain = _certain_count(p_ind, tau)
     tails = binomial_tail(np.arange(int(certain) + 1), p_ind, tau)
-    kept = []
-    total_kept = 0
+    out = np.empty(needed)
+    filled = 0
     drawn = 0
     chunk = max(min(needed * 4, 4_000_000), 100_000)
     buf = np.empty(_BLOCK)
-    while total_kept < needed and drawn < max_draws:
-        v = sample_viral_load(gmm, rng, size=chunk)
-        sel = _accept(v, keep_missed, tails, certain, rng, buf, needed - total_kept)
-        del v  # freed before the next chunk is drawn
-        kept.append(sel)
-        total_kept += sel.size
+    while filled < needed and drawn < max_draws:
+        comp = sample_categories(gmm.weights, rng, chunk)
+        kept = _candidates(gmm, comp, keep_missed, certain, rng, needed - filled)
+        del comp  # freed before the accept uniforms are drawn
+        filled = _accept(kept, keep_missed, tails, certain, rng, buf, chunk, out, filled)
         drawn += chunk
-    return np.concatenate(kept)
+    return out if filled == needed else out[:filled].copy()
+
+
+def delta_prime_quadrature(n: int, beta_bar: float, tau: int, gmm: GmmParams) -> float:
+    """delta' for pool size n at tau by quadrature over the integer counts
+    K = rint(V), with no sampling; an oracle for estimate_delta_prime.
+
+    With P(K) from count_pmf, T_1 and T_n the individual and pooled tails:
+    E[X] = sum_s m*n(s) T_n(s), where m(K) is proportional to P(K)(1 - T_1(K))
+    below the individual test's certain count and m*n, its n-fold
+    convolution, is the n-th power of its real FFT;
+    E[Z] = (sum_K P(K) T_1(K) T_n(K) + M) / (sum_K P(K) T_1(K) + M), summed
+    below the pooled test's certain count, with M the mass at or above it.
+    The sampler rounds the sum of n loads where this sums n rounded counts.
+    The FFT's round-off, about 1e-16 of the convolution's peak, bounds the
+    E[X] that it can resolve.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    p_ind = float(capture_probability(1))
+    p_pool = float(capture_probability(n))
+    counts = np.arange(int(_certain_count(p_pool, tau)))
+    pmf, above = count_pmf(gmm, counts.size)
+    t_ind = binomial_tail(counts, p_ind, tau)
+    hit = pmf * t_ind
+    e_z = ((hit * binomial_tail(counts, p_pool, tau)).sum() + above) / (hit.sum() + above)
+    miss = (pmf - hit)[: int(_certain_count(p_ind, tau))]
+    miss /= miss.sum()
+    size = n * (miss.size - 1) + 1
+    pooled = np.fft.irfft(np.fft.rfft(miss, size) ** n, size)
+    e_x = pooled @ binomial_tail(np.arange(size), p_pool, tau)
+    return float(e_x / e_z * beta_bar / (1.0 - beta_bar))
 
 
 def check_delta_prime(n: int, B: int, bootstrap_reps: int):
@@ -222,11 +278,13 @@ def estimate_delta_prime(
     # Z: one load conditional on an individual-test hit, diluted n-fold
     v_hit = _sample_conditional(gmm, tau, B, keep_missed=False, rng=rng, max_draws=max_draws)
     z = binomial_tail(np.rint(v_hit), p_pool, tau)
+    del v_hit
 
     # X: pool of n loads, each conditional on an individual-test miss
     v_miss = _sample_conditional(gmm, tau, n * B, keep_missed=True, rng=rng, max_draws=max_draws)
     b_x = v_miss.size // n
     pooled = v_miss[: b_x * n].reshape(b_x, n).sum(axis=1)
+    del v_miss
     # the pooled counts repeat: evaluate each distinct one once
     counts, index = np.unique(np.rint(pooled), return_inverse=True)
     x = binomial_tail(counts, p_pool, tau)[index]

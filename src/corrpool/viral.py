@@ -51,12 +51,33 @@ class GmmParams:
         z = (x[..., None] - mu) / sd
         return ndtr(z) @ w
 
+    def sf(self, x) -> np.ndarray:
+        """Mixture survival function 1 - cdf(x), summed from the upper normal tails."""
+        w, mu, sd = self.as_arrays()
+        x = np.asarray(x, dtype=float)
+        z = (x[..., None] - mu) / sd
+        return ndtr(-z) @ w
+
 
 DEFAULT_GMM = GmmParams(
     weights=(0.33, 0.54, 0.13),
     mus=(8.09, 5.35, 3.75),
     sigmas=(1.06, 0.89, 0.39),
 )
+
+
+def count_pmf(params: GmmParams, size: int):
+    """P(K = k) for k = 0..size-1 and P(K >= size), where K = rint(V) is the
+    integer count of a load V whose log10 follows the mixture.
+
+    K = k takes the loads in [k - 1/2, k + 1/2). A difference of CDF values
+    near 1 loses digits, so once the CDF passes 1/2 the masses are taken from
+    differences of the survival function instead.
+    """
+    edges = np.log10(np.arange(size) + 0.5)
+    cdf = np.concatenate(([0.0], params.cdf(edges)))
+    sf = np.concatenate(([1.0], params.sf(edges)))
+    return np.where(cdf[1:] <= 0.5, np.diff(cdf), -np.diff(sf)), float(sf[-1])
 
 
 def ct_to_log10_viral_load(ct):
@@ -93,17 +114,26 @@ def sample_categories(weights, rng: np.random.Generator, size) -> np.ndarray:
     return out
 
 
-def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size):
+def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size, components=None):
     """Draw log10 viral loads for infected individuals from the mixture.
 
     The same bits and stream position as rng.normal(mu[comp], sd[comp]) with
-    comp = rng.choice(len(w), size, p=w), drawn by sample_categories. The
-    normals are drawn _BLOCK at a time into the output and scaled through one
-    reused buffer, so a call holds its output, the components and block scratch.
+    comp = rng.choice(len(w), size, p=w), drawn by sample_categories. Given
+    `components` (sample_categories output of the same size), only the
+    normals are drawn, so categories drawn once for a chunk and then the
+    chunk's loads block by block give the bits and stream position of one
+    call. The normals are drawn _BLOCK at a time into the output and scaled
+    through one reused buffer, so a call holds its output, the components and
+    block scratch.
     """
     w, mu, sd = params.as_arrays()
     out = np.empty(size)
-    comp = sample_categories(w, rng, out.shape).reshape(-1)
+    if components is None:
+        comp = sample_categories(w, rng, out.shape).reshape(-1)
+    else:
+        comp = np.asarray(components).reshape(-1)
+        if comp.size != out.size:
+            raise ValueError("components must hold one category per load")
     flat = out.reshape(-1)
     buf = np.empty(min(flat.size, _BLOCK))
     for start in range(0, flat.size, _BLOCK):
@@ -115,7 +145,7 @@ def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size):
     return out
 
 
-def sample_viral_load(params: GmmParams, rng: np.random.Generator, size):
+def sample_viral_load(params: GmmParams, rng: np.random.Generator, size, components=None):
     """Draw viral loads in linear copies/mL for infected individuals."""
-    x = sample_log10_viral_load(params, rng, size)
+    x = sample_log10_viral_load(params, rng, size, components)
     return np.power(10.0, x, out=x)

@@ -333,6 +333,19 @@ def test_fnr_curve_matches_the_mean_over_every_draw():
         assert abs(beta - (1.0 - binomial_tail(K, p, tau).mean())) <= 1e-12
 
 
+def test_distinct_sorted_equals_unique():
+    # values, counts and dtypes of np.unique on sorted arrays, down to the
+    # empty, single-value and all-equal prefixes that _fnr_curve can take
+    K = np.sort(np.rint(sample_viral_load(DEFAULT_GMM, _runner_stream(1), size=10**4)))
+    arrays = [K[:below] for below in (0, 1, 2, 17, 5000, K.size)]
+    arrays += [np.full(7, 3.0), np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 2.0])]
+    for a in arrays:
+        got = corrpool.pcr._distinct_sorted(a)
+        expected = np.unique(a, return_counts=True)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
 def test_golden_tau():
     # the stored benchmark artifacts were made at these two thresholds
     assert ScenarioConfig(beta_bar=0.05, master_seed=0).resolve_tau() == 176

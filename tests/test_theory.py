@@ -13,6 +13,7 @@ from corrpool.theory import (
     _sample_conditional,
     counterexample_closed_form,
     counterexample_enumerate,
+    delta_prime_quadrature,
     estimate_delta_prime,
 )
 from corrpool.viral import DEFAULT_GMM, sample_viral_load
@@ -82,6 +83,20 @@ def test_delta_prime_smoke():
     assert 1e-6 < est.delta_prime_hat < 1e-4
 
 
+@pytest.mark.parametrize(
+    "n, beta_bar, tau",
+    [(2, 0.025, 108), (6, 0.05, 175), (4, 0.1, 342)],
+    ids=["n2-2.5%", "n6-5%", "n4-10%"],
+)
+def test_sampler_interval_covers_the_quadrature(n, beta_bar, tau):
+    # the quadrature is an oracle for the sampler: at B = 1e5 the sampler's
+    # 95% interval covers it (tau is each beta_bar's exact threshold)
+    exact = delta_prime_quadrature(n, beta_bar, tau, DEFAULT_GMM)
+    est = estimate_delta_prime(n, beta_bar, tau, DEFAULT_GMM, B=10**5, bootstrap_reps=200, rng=np.random.default_rng(0))
+    assert est.ci_low <= exact <= est.ci_high
+    assert exact == pytest.approx(est.delta_prime_hat, rel=0.1)
+
+
 def test_delta_prime_rejects_bad_args():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -90,6 +105,8 @@ def test_delta_prime_rejects_bad_args():
         estimate_delta_prime(2, 0.05, 174, DEFAULT_GMM, B=10**3, rng=rng)
     with pytest.raises(ValueError):
         estimate_delta_prime(2, 0.05, 174, DEFAULT_GMM, B=10**5, bootstrap_reps=0, rng=rng)
+    with pytest.raises(ValueError):
+        delta_prime_quadrature(1, 0.05, 174, DEFAULT_GMM)
 
 
 def _sample_conditional_full_evaluation(gmm, tau, needed, keep_missed, rng, max_draws):
@@ -133,17 +150,30 @@ def test_sample_conditional_equals_full_evaluation(monkeypatch, keep_missed, tau
     assert rng.random() == ref.random()
 
 
+def test_hit_pass_keeps_the_sure_hit_that_completes_it():
+    # with no hit under K_c before it, the limit-th hit is the limit-th sure
+    # hit, the last load the hit pass keeps; one load on several seeds has
+    # that case, a first load at or above K_c
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        ref = copy.deepcopy(rng)
+        got = _sample_conditional(DEFAULT_GMM, 174, 1, False, rng, 10**9)
+        expected = _sample_conditional_full_evaluation(DEFAULT_GMM, 174, 1, False, ref, 10**9)
+        assert got.tobytes() == expected.tobytes()
+        assert rng.random() == ref.random()
+
+
 @pytest.mark.parametrize(
     "keep_missed, needed, bytes_per_load",
-    [(True, 600_000, 13.0), (False, 250_000, 13.0)],
+    [(True, 600_000, 6.4), (False, 250_000, 9.5)],
     ids=["missed", "hit"],
 )
 def test_sample_conditional_peak_memory(keep_missed, needed, bytes_per_load):
-    # a chunk of 4 * needed loads holds the loads, their one-byte components
-    # and block-sized scratch, never a chunk-sized array of uniforms or
-    # normals, and the loads are freed before the next chunk is drawn; the
-    # hit pass copies only the hits it needs. Measured: about 11.3 bytes per
-    # chunk load in either pass.
+    # a chunk of 4 * needed loads holds the result of `needed` loads, the
+    # chunk's one-byte components, the loads the pass can return and
+    # block-sized scratch, never a chunk-sized array of loads, uniforms or
+    # normals. Measured: about 5.6 bytes per chunk load in the miss pass and
+    # 8.3 in the hit pass, which keeps every load up to its limit-th sure hit.
     chunk = 4 * needed
     rng = np.random.default_rng(5)
     tracemalloc.start()
@@ -181,8 +211,17 @@ def test_delta_prime_draws_every_load_through_the_theory_sampler(monkeypatch):
     monkeypatch.setattr(corrpool.theory, "sample_viral_load", counting_sampler)
     assert run() == expected
     kept = 10**5 + 2 * expected.achieved_b
-    assert len(draws) > 1
     assert 0.03 < kept / sum(draws) < 0.08
+    # block by block, in whole chunks: one hit-pass chunk of 4 * B loads,
+    # then miss-pass chunks of 4 * 2B loads
+    block = corrpool.theory._BLOCK
+
+    def blocks(chunk):
+        return [min(block, chunk - start) for start in range(0, chunk, block)]
+
+    hit, miss = blocks(4 * 10**5), blocks(8 * 10**5)
+    chunks = (len(draws) - len(hit)) // len(miss)
+    assert chunks >= 1 and draws == hit + miss * chunks
 
 
 def test_delta_prime_evaluates_each_distinct_pooled_count_once(monkeypatch):

@@ -10,7 +10,9 @@ from corrpool.viral import (
     _BLOCK,
     DEFAULT_GMM,
     GmmParams,
+    count_pmf,
     ct_to_log10_viral_load,
+    sample_categories,
     sample_log10_viral_load,
     sample_viral_load,
 )
@@ -90,6 +92,43 @@ def test_draws_equal_normal_with_per_draw_parameters(params):
         assert draws.shape == (size,)
         assert draws.tobytes() == expected.tobytes()
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_draws_from_given_components_block_by_block_equal_one_call(size):
+    # categories for the whole chunk, then its loads a block at a time from
+    # those categories: the bits and stream position of one call
+    rng = np.random.default_rng(8)
+    ref = copy.deepcopy(rng)
+    comp = sample_categories(DEFAULT_GMM.weights, rng, size)
+    blocks = [
+        sample_viral_load(DEFAULT_GMM, rng, comp[start : start + _BLOCK].size, components=comp[start : start + _BLOCK])
+        for start in range(0, size, _BLOCK)
+    ]
+    assert np.concatenate(blocks).tobytes() == sample_viral_load(DEFAULT_GMM, ref, size).tobytes()
+    assert rng.random() == ref.random()
+
+
+def test_components_must_match_the_size():
+    with pytest.raises(ValueError, match="one category per load"):
+        sample_viral_load(DEFAULT_GMM, np.random.default_rng(0), 5, components=np.zeros(4, dtype=np.uint8))
+
+
+def test_count_pmf_is_the_distribution_of_rounded_loads():
+    # the masses and the tail add to one, agree with CDF differences, and
+    # match the frequencies of rint(V) on 10**6 draws within sampling error
+    size = 20_000
+    pmf, above = count_pmf(DEFAULT_GMM, size)
+    assert pmf.shape == (size,) and (pmf >= 0).all()
+    assert abs(pmf.sum() + above - 1.0) < 1e-12
+    edges = np.log10(np.arange(size) + 0.5)
+    assert np.allclose(pmf, np.diff(DEFAULT_GMM.cdf(edges), prepend=0.0), rtol=0, atol=1e-15)
+    assert above == pytest.approx(DEFAULT_GMM.sf(edges[-1]), rel=1e-12)
+    K = np.rint(sample_viral_load(DEFAULT_GMM, np.random.default_rng(2), 10**6))
+    freq = np.bincount(K[K < 200].astype(np.intp), minlength=200) / K.size
+    se = np.sqrt(pmf[:200] * (1 - pmf[:200]) / K.size)
+    assert (np.abs(freq - pmf[:200]) <= 5 * se + 1e-6).all()
+    assert abs((K >= size).mean() - above) < 5 * np.sqrt(above / K.size)
 
 
 def test_draws_hold_little_beyond_the_loads_returned():
