@@ -55,6 +55,12 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _check_seed(seed: int):
+    """Raise ConfigError unless --seed is in the range master_seed accepts."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def _scenario_args(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON scenario config; flags override file values")
     sub.add_argument("--alpha", type=float, help="population prevalence")
@@ -124,6 +130,7 @@ def _cmd_calibrate(args) -> int:
     targets = _parse_floats(args.beta_bar)
     if not targets:
         raise ConfigError("--beta-bar needs at least one target")
+    _check_seed(args.seed)
     for target in targets:
         check_calibration(target, args.draws)
     taus = calibrate_tau(targets, DEFAULT_GMM, calibration_rng(args.seed), draws=args.draws)
@@ -145,6 +152,7 @@ def _cmd_delta_bound(args) -> int:
     for n, beta_bar in cells:
         check_calibration(beta_bar)
         check_delta_prime(n, args.b, args.bootstrap_reps)
+    _check_seed(args.seed)
     betas = list(dict.fromkeys(beta_bar for _, beta_bar in cells))
     rng = np.random.default_rng(args.seed)
     tau = dict(zip(betas, calibrate_tau(betas, DEFAULT_GMM, rng)))

@@ -24,9 +24,11 @@ total_load / pool_size, and their draws compare one uniform per test with it.
 All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target. One
-call draws the infected loads once and sorts their counts; each probe of the
-search, upward from tau = 1 for each target, sums the rate over the distinct
-counts below that tau's certain count.
+call draws the infected loads once, block by block, into one array of 4-byte
+counts (about 7 bytes per draw at its peak, with the categories and block
+scratch) and sorts it; each probe of the search, upward from tau = 1 for
+each target, sums the rate over the distinct counts below that tau's certain
+count.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
@@ -46,11 +48,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc
 
-from .viral import GmmParams, sample_viral_load
+from .viral import _BLOCK, GmmParams, sample_categories, sample_viral_load
 
 _SURE_POSITIVE = 1.0 - 1e-12
 # Upper end of calibrate_tau's search range.
 _TAU_MAX = 10**7
+# calibrate_tau's counts are uint32: a larger count is stored as this cap.
+_COUNT_MAX = np.iinfo(np.uint32).max
 
 
 # Per-copy capture probability of an individual test: binding efficiency 0.5
@@ -277,23 +281,41 @@ def _distinct_sorted(a):
 
 
 def _fnr_curve(K, p):
-    """calibrate_tau's FNR estimate on the sorted rounded loads K, as a function of tau.
+    """calibrate_tau's FNR estimate on the sorted counts K, as a function of tau.
 
     Counts at or above K_c(p, tau) have a tail of exactly 1.0 and count as
     sure hits, an exact integer; each probe takes the distinct counts below
     K_c, the prefix of K that searchsorted finds (see _distinct_sorted),
     weights their tails by their multiplicities and sums them by numpy, not
-    BLAS. The curve keeps no state between probes, so it depends on K and tau
-    alone.
+    BLAS. The search key has K's own dtype: a Python number would make
+    searchsorted convert all of a uint32 K, a copy per probe. The curve keeps
+    no state between probes, so it depends on K and tau alone.
     """
 
     def beta_bar(tau):
-        below = int(np.searchsorted(K, _certain_count(p, tau)))
+        below = int(np.searchsorted(K, K.dtype.type(_certain_count(p, tau))))
         values, counts = _distinct_sorted(K[:below])
         tails = binomial_tail(values, p, tau)
         return 1.0 - (K.size - below + (counts * tails).sum()) / K.size
 
     return beta_bar
+
+
+def _draw_counts(gmm, rng, draws):
+    """rint of `draws` loads, capped at _COUNT_MAX, as one uint32 array.
+
+    The mixture categories are drawn once, then the loads _BLOCK at a time,
+    the bits and stream position of one sample_viral_load call; each block is
+    rounded and capped in place and stored into the counts.
+    """
+    comp = sample_categories(gmm.weights, rng, draws)
+    K = np.empty(draws, dtype=np.uint32)
+    for start in range(0, draws, _BLOCK):
+        k = comp[start : start + _BLOCK]
+        v = sample_viral_load(gmm, rng, k.size, components=k)
+        np.rint(v, out=v)
+        K[start : start + v.size] = np.minimum(v, _COUNT_MAX, out=v)
+    return K
 
 
 def calibrate_tau(
@@ -311,10 +333,15 @@ def calibrate_tau(
     in tau, each search is exact and the result deterministic given the rng
     seed. Every target searches the same curve (see _fnr_curve), so it gets
     the tau of a call of its own on the same rng state.
+
+    The counts come from _draw_counts and are sorted in place, so no float
+    array of every load exists. The cap on them changes no tau: every count a
+    probe can weigh lies below K_c(p, _TAU_MAX), about 2.0e8, far under the
+    cap, so a capped count stays a sure hit.
     """
     for target in targets:
         check_calibration(target, draws)
-    K = np.rint(sample_viral_load(gmm, rng, size=draws))
+    K = _draw_counts(gmm, rng, draws)
     K.sort()
     beta_bar = _fnr_curve(K, float(capture_probability(1)))
     return [_smallest_tau(beta_bar, target) for target in targets]

@@ -269,6 +269,8 @@ def estimate_delta_prime(
     Returns the point estimate (X_bar/Z_bar) * beta_bar/(1-beta_bar) and a 95%
     interval built from a 99.99% normal interval for E[Z] and a (95/99.99)%
     bootstrap percentile interval for E[X], combined as [L_X/U_Z, U_X/L_Z].
+    ci_reliable is False when the point estimate is below 1e-12 or the
+    interval misses it, as a bootstrap of very few replicates can.
     """
     check_delta_prime(n, B, bootstrap_reps)
     max_draws = 1000 * B  # cap rejection-sampler cost; report achieved sample size
@@ -322,5 +324,5 @@ def estimate_delta_prime(
         ci_low=ci_low,
         ci_high=ci_high,
         achieved_b=int(b_x),
-        ci_reliable=point >= 1e-12,
+        ci_reliable=point >= 1e-12 and ci_low <= point <= ci_high,
     )

@@ -1,6 +1,7 @@
 """Tests for the PCR sensitivity models and threshold calibration."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,10 +201,11 @@ def test_binomial_tail_bit_identical_for_per_pool_p(gmm_counts):
             assert np.all(got[counts >= np.concatenate(own_cutoff)] == 1.0)
 
 
-def _bisection_tau(beta_bar, rng, draws=10**6):
-    """Reference search: gallop tau = 1, 2, 4, ... to a bracket of the target,
-    then bisect it. Returns the tau and the number of tau probed."""
-    K = np.rint(sample_viral_load(DEFAULT_GMM, rng, size=draws))
+def _bisection_tau(beta_bar, rng, draws=10**6, gmm=DEFAULT_GMM):
+    """Reference search on float counts: gallop tau = 1, 2, 4, ... to a
+    bracket of the target, then bisect it. Returns the tau and the number of
+    tau probed."""
+    K = np.rint(sample_viral_load(gmm, rng, size=draws))
     p = float(capture_probability(1))
     probed = []
 
@@ -331,6 +333,52 @@ def test_fnr_curve_matches_the_mean_over_every_draw():
     assert [down(tau) for tau in taus[::-1]][::-1] == rising
     for tau, beta in zip(taus, rising):
         assert abs(beta - (1.0 - binomial_tail(K, p, tau).mean())) <= 1e-12
+
+
+def test_calibration_holds_little_beyond_its_counts():
+    # the 4-byte counts, their one-byte categories and block-sized scratch
+    # while drawing: about 7.1 bytes per draw (16.0 with float loads rounded
+    # into a second float array)
+    draws = 10**6
+    for seed in (0, 1):
+        tracemalloc.start()
+        try:
+            calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(seed), draws=draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / draws < 8.2
+
+
+# about 29% of its loads hold more than 2**32 copies
+_HIGH_GMM = GmmParams((0.3, 0.7), (10.5, 4.0), (0.5, 1.0))
+
+
+def test_fnr_curve_on_capped_uint32_counts_equals_float_counts():
+    # counts above 2**32 - 1 are stored as the cap; every certain count up to
+    # tau = _TAU_MAX lies below it, so each probe sees the same distinct
+    # counts below K_c, the same multiplicities and the same number of sure
+    # hits as on the float counts
+    p = float(capture_probability(1))
+    assert _certain_count(p, corrpool.pcr._TAU_MAX) < corrpool.pcr._COUNT_MAX
+    for gmm, draws in ((DEFAULT_GMM, 10**6), (_HIGH_GMM, 10**5)):
+        counts = corrpool.pcr._draw_counts(gmm, _runner_stream(4), draws)
+        floats = np.rint(sample_viral_load(gmm, _runner_stream(4), size=draws))
+        assert counts.dtype == np.uint32
+        assert (floats > 2**32).any()
+        assert np.array_equal(counts, np.minimum(floats, corrpool.pcr._COUNT_MAX))
+        counts.sort()
+        floats.sort()
+        capped, exact = corrpool.pcr._fnr_curve(counts, p), corrpool.pcr._fnr_curve(floats, p)
+        for tau in (1, 108, 176, 1240, 28533, 10**6, corrpool.pcr._TAU_MAX):
+            assert capped(tau) == exact(tau)
+
+
+def test_calibrate_tau_with_counts_above_the_cap_matches_bisection():
+    draws = 10**5
+    targets = (0.05, 0.3, 0.5)
+    got = calibrate_tau(targets, _HIGH_GMM, _runner_stream(0), draws=draws)
+    assert got == [_bisection_tau(b, _runner_stream(0), draws, _HIGH_GMM)[0] for b in targets]
 
 
 def test_distinct_sorted_equals_unique():

@@ -1,5 +1,6 @@
 """Tests for scenario orchestration, determinism, serialization, and the CLI."""
 
+import csv
 import json
 import os
 import subprocess
@@ -29,7 +30,7 @@ from corrpool.runner import (
 )
 from corrpool.sir import optimize_pool_size
 from corrpool.theory import estimate_delta_prime
-from corrpool.viral import DEFAULT_GMM
+from corrpool.viral import _BLOCK, DEFAULT_GMM
 
 SMALL = dict(
     alpha=0.05,
@@ -450,10 +451,15 @@ def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
         (["counterexample", "--grid", "-3", "--output", os.devnull], "--grid"),
         (["counterexample", "--grid", "0", "--output", os.devnull], "--grid"),
         (["counterexample", "--grid", "1", "--output", os.devnull], "--grid"),
+        (["calibrate", "--beta-bar", "0.05", "--seed", str(2**64)], "--seed"),
+        (["calibrate", "--beta-bar", "0.05", "--seed", "-1"], "--seed"),
+        (["delta-bound", "--seed", str(2**64)], "--seed"),
+        (["delta-bound", "--seed", "-1"], "--seed"),
     ],
     ids=[
         "reps_zero", "reps_negative", "n_one", "b_small", "delta_beta_bar", "calibrate_beta_bar", "draws",
-        "calibrate_no_target", "grid_negative", "grid_zero", "grid_one",
+        "calibrate_no_target", "grid_negative", "grid_zero", "grid_one", "calibrate_seed_2_64",
+        "calibrate_seed_negative", "delta_seed_2_64", "delta_seed_negative",
     ],
 )
 def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv, named):
@@ -492,7 +498,8 @@ def test_cli_calibrate_draws_the_loads_once(monkeypatch, capsys):
 
     monkeypatch.setattr(corrpool.pcr, "sample_viral_load", counting_sample)
     assert main(["calibrate", "--beta-bar", "0.025,0.05,0.1,0.2"]) == 0
-    assert sizes == [10**6]
+    # one draw of 10**6 loads, block by block
+    assert sum(sizes) == 10**6 and max(sizes) == _BLOCK
     assert capsys.readouterr().out.splitlines() == [
         "beta_bar=0.025 -> tau=108",
         "beta_bar=0.05 -> tau=176",
@@ -527,6 +534,17 @@ def test_delta_bound_full_table_rows_equal_cells_run_alone(monkeypatch, tmp_path
         argv = ["delta-bound", "--n", str(n), "--beta-bar", str(beta_bar), *_DELTA_SMALL, "--output", str(cell)]
         assert main(argv) == 0
         assert cell.read_text().splitlines() == [header, row]
+
+
+def test_delta_bound_flags_an_interval_that_misses_its_estimate(tmp_path):
+    # one bootstrap replicate gives an interval that lies beside the point
+    # estimate: the row must not call it reliable
+    out = tmp_path / "cell.csv"
+    argv = ["delta-bound", "--n", "2", "--b", "100000", "--bootstrap-reps", "1", "--seed", "0"]
+    assert main(argv + ["--output", str(out)]) == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert not float(row["ci_low"]) <= float(row["delta_prime"]) <= float(row["ci_high"])
+    assert row["ci_reliable"] == "False"
 
 
 def test_delta_bound_cell_keeps_its_bytes(tmp_path):
