@@ -16,9 +16,11 @@ in ten at beta_bar = 5%, is a hit without evaluating its tail, and the result
 is bit-identical to evaluating every tail (see _sample_conditional). A chunk
 of up to 4e6 loads draws its one-byte categories at once, then its loads and
 accept uniforms in blocks of 2**16, keeping only the loads the pass can
-return. By tracemalloc a pass peaks at about 5.6 (misses) and 8.3 (hits)
-bytes per chunk load, the result of `needed` loads included
-(tests/test_theory.py holds them under 6.4 and 9.5).
+return. The miss pass sums each pool of n accepted loads as it accepts them,
+so it returns B sums, not n*B loads. By tracemalloc a pass peaks at about
+5.1 (misses), 3.4 (misses summed in pools of 6) and 8.3 (hits) bytes per
+chunk load, its result included (tests/test_theory.py holds them under 5.8,
+3.9 and 9.5); the miss pass of n = 12, B = 1e6 peaks at about 18 MB.
 delta_prime_quadrature computes the same delta' exactly over integer counts;
 it is the sampler's oracle and is not wired into the CLI.
 """
@@ -139,7 +141,7 @@ def _candidates(gmm, comp, keep_missed, certain, rng, limit):
         v = sample_viral_load(gmm, rng, k.size, components=k)
         if keep_missed:
             low = np.flatnonzero(v < certain)
-            kept.append((v[low], low))
+            kept.append((v[low], low.astype(np.min_scalar_type(_BLOCK - 1))))
         elif sure < limit:
             high = np.count_nonzero(v >= certain)
             if sure + high >= limit:
@@ -149,16 +151,20 @@ def _candidates(gmm, comp, keep_missed, certain, rng, limit):
     return kept
 
 
-def _accept(kept, keep_missed, tails, certain, rng, buf, size, out, filled):
-    """Write the chunk's accepted loads, in order, into out[filled:] until it
-    is full, drawing one uniform per chunk load into buf, buf.size at a time:
-    the same doubles in the same stream order as one rng.random(size). A
-    block looks up the tails of its loads under the certain count in `tails`,
-    indexed by rint(v). Returns the new fill."""
+def _accept(kept, keep_missed, tails, certain, rng, buf, size, needed, group, out, filled, carry):
+    """Sum the chunk's accepted loads, in order, into pools of `group` written
+    to out until `needed` loads are accepted, drawing one uniform per chunk
+    load into buf, buf.size at a time: the same doubles in the same stream
+    order as one rng.random(size). A block looks up the tails of its loads
+    under the certain count in `tails`, indexed by rint(v). `filled` counts
+    the loads accepted so far, the last filled % group of them held in
+    `carry`; each block's complete pools are summed by the row sums of one
+    reshape, the bits of reshaping all the loads at once. Returns the new
+    fill and carry."""
     for i, start in enumerate(range(0, size, buf.size)):
         u = buf[: size - start]
         rng.random(out=u)
-        if i >= len(kept) or filled == out.size:
+        if i >= len(kept) or filled == needed:
             continue
         v, low = kept[i]
         kept[i] = None
@@ -167,10 +173,13 @@ def _accept(kept, keep_missed, tails, certain, rng, buf, size, out, filled):
         else:
             low = np.flatnonzero(v < certain)
             v = np.delete(v, low[u[low] >= tails[np.rint(v[low]).astype(np.intp)]])
-        v = v[: out.size - filled]
-        out[filled : filled + v.size] = v
-        filled += v.size
-    return filled
+        v = np.concatenate((carry, v[: needed - filled]))
+        pools = filled // group
+        filled += v.size - carry.size
+        m = v.size // group
+        out[pools : pools + m] = v[: m * group].reshape(m, group).sum(axis=1)
+        carry = v[m * group :].copy()
+    return filled, carry
 
 
 def _sample_conditional(
@@ -180,9 +189,11 @@ def _sample_conditional(
     keep_missed: bool,
     rng: np.random.Generator,
     max_draws: int,
+    group: int = 1,
 ):
     """Viral loads conditional on the individual test missing (keep_missed) or
-    hitting, via rejection sampling of (V, W) pairs.
+    hitting, via rejection sampling of (V, W) pairs, summed in pools of
+    `group` consecutive loads as they are accepted.
 
     A load at or above the certain count K_c of the individual test is a hit
     without evaluating its tail: K_c is an integer, so rint(v) >= K_c, the
@@ -192,15 +203,19 @@ def _sample_conditional(
     its loads block by block, keeping only those the pass can return (see
     _candidates), then frees the categories and draws its accept uniforms
     block by block; it never holds a chunk-sized array of loads, normals or
-    uniforms. The result is an owned array of at most `needed` loads; the
-    kept loads and the stream position are those of drawing the chunk's loads
-    and uniforms at once and evaluating every load's tail.
+    uniforms. The result is an owned array of at most needed // group sums,
+    one per complete pool of the first `needed` accepted loads; a pool left
+    short by max_draws is dropped. The kept loads and the stream position are
+    those of drawing the chunk's loads and uniforms at once and evaluating
+    every load's tail, and each sum has the bits of reshaping those loads
+    into rows of `group` and summing the rows.
     """
     p_ind = float(capture_probability(1))
     certain = _certain_count(p_ind, tau)
     tails = binomial_tail(np.arange(int(certain) + 1), p_ind, tau)
-    out = np.empty(needed)
+    out = np.empty(needed // group)
     filled = 0
+    carry = np.empty(0)
     drawn = 0
     chunk = max(min(needed * 4, 4_000_000), 100_000)
     buf = np.empty(_BLOCK)
@@ -208,9 +223,12 @@ def _sample_conditional(
         comp = sample_categories(gmm.weights, rng, chunk)
         kept = _candidates(gmm, comp, keep_missed, certain, rng, needed - filled)
         del comp  # freed before the accept uniforms are drawn
-        filled = _accept(kept, keep_missed, tails, certain, rng, buf, chunk, out, filled)
+        filled, carry = _accept(
+            kept, keep_missed, tails, certain, rng, buf, chunk, needed, group, out, filled, carry
+        )
         drawn += chunk
-    return out if filled == needed else out[:filled].copy()
+    pools = filled // group
+    return out if pools == out.size else out[:pools].copy()
 
 
 def delta_prime_quadrature(n: int, beta_bar: float, tau: int, gmm: GmmParams) -> float:
@@ -281,25 +299,24 @@ def estimate_delta_prime(
     v_hit = _sample_conditional(gmm, tau, B, keep_missed=False, rng=rng, max_draws=max_draws)
     z = binomial_tail(np.rint(v_hit), p_pool, tau)
     del v_hit
-
-    # X: pool of n loads, each conditional on an individual-test miss
-    v_miss = _sample_conditional(gmm, tau, n * B, keep_missed=True, rng=rng, max_draws=max_draws)
-    b_x = v_miss.size // n
-    pooled = v_miss[: b_x * n].reshape(b_x, n).sum(axis=1)
-    del v_miss
-    # the pooled counts repeat: evaluate each distinct one once
-    counts, index = np.unique(np.rint(pooled), return_inverse=True)
-    x = binomial_tail(counts, p_pool, tau)[index]
-
     z_bar = float(z.mean())
-    x_bar = float(x.mean())
     if z_bar <= 0:
         raise ValueError("E[Z] estimate is zero; tau is miscalibrated")
+    se_z = float(z.std(ddof=1) / np.sqrt(z.size))
+    del z
+
+    # X: pool of n loads, each conditional on an individual-test miss,
+    # summed pool by pool as the miss pass accepts them
+    pooled = _sample_conditional(gmm, tau, n * B, keep_missed=True, rng=rng, max_draws=max_draws, group=n)
+    # the pooled counts repeat: evaluate each distinct one once
+    counts, index = np.unique(np.rint(pooled), return_inverse=True)
+    del pooled
+    x = binomial_tail(counts, p_pool, tau)[index]
+    x_bar = float(x.mean())
     factor = beta_bar / (1.0 - beta_bar)
     point = (x_bar / z_bar) * factor
 
     # 99.99% normal interval for E[Z]
-    se_z = float(z.std(ddof=1) / np.sqrt(z.size))
     z_crit = 3.891  # two-sided 99.99% normal quantile
     l_z = max(z_bar - z_crit * se_z, 0.0)
     u_z = z_bar + z_crit * se_z
@@ -323,6 +340,6 @@ def estimate_delta_prime(
         delta_prime_hat=point,
         ci_low=ci_low,
         ci_high=ci_high,
-        achieved_b=int(b_x),
+        achieved_b=int(x.size),
         ci_reliable=point >= 1e-12 and ci_low <= point <= ci_high,
     )

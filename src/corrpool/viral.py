@@ -123,8 +123,9 @@ def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size, c
     normals are drawn, so categories drawn once for a chunk and then the
     chunk's loads block by block give the bits and stream position of one
     call. The normals are drawn _BLOCK at a time into the output and scaled
-    through one reused buffer, so a call holds its output, the components and
-    block scratch.
+    through one reused buffer, each block's components converted once into a
+    reused index buffer for both lookups, so a call holds its output, the
+    components and block scratch.
     """
     w, mu, sd = params.as_arrays()
     out = np.empty(size)
@@ -136,9 +137,11 @@ def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size, c
             raise ValueError("components must hold one category per load")
     flat = out.reshape(-1)
     buf = np.empty(min(flat.size, _BLOCK))
+    idx = np.empty(buf.size, dtype=np.intp)
     for start in range(0, flat.size, _BLOCK):
         x = flat[start : start + _BLOCK]
-        k = comp[start : start + _BLOCK]
+        k = idx[: x.size]
+        k[...] = comp[start : start + _BLOCK]
         rng.standard_normal(out=x)
         x *= sd.take(k, out=buf[: x.size], mode="clip")
         x += mu.take(k, out=buf[: x.size], mode="clip")

@@ -163,22 +163,53 @@ def test_hit_pass_keeps_the_sure_hit_that_completes_it():
         assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("n", [2, 6, 8, 12, 40])
 @pytest.mark.parametrize(
-    "keep_missed, needed, bytes_per_load",
-    [(True, 600_000, 6.4), (False, 250_000, 9.5)],
-    ids=["missed", "hit"],
+    "block, max_draws",
+    [
+        pytest.param(corrpool.theory._BLOCK, 10**9, id="default_blocks"),
+        # pools straddle blocks and chunks
+        pytest.param(1007, 10**9, id="ragged_blocks"),
+        # one chunk, whose accepted loads end in the middle of a pool
+        pytest.param(1007, 1, id="capped_mid_pool"),
+    ],
 )
-def test_sample_conditional_peak_memory(keep_missed, needed, bytes_per_load):
-    # a chunk of 4 * needed loads holds the result of `needed` loads, the
-    # chunk's one-byte components, the loads the pass can return and
-    # block-sized scratch, never a chunk-sized array of loads, uniforms or
-    # normals. Measured: about 5.6 bytes per chunk load in the miss pass and
+def test_miss_pass_pool_sums_equal_the_reshaped_loads(monkeypatch, n, block, max_draws):
+    # the sums of pools as the miss pass accepts them have the bits of
+    # keeping every accepted load and summing the complete pools by one
+    # reshape, as the estimator did; a pool left short by the cap is dropped
+    monkeypatch.setattr(corrpool.theory, "_BLOCK", block)
+    needed = 40_000
+    rng = np.random.default_rng(14)
+    ref = copy.deepcopy(rng)
+    got = _sample_conditional(DEFAULT_GMM, 174, needed, True, rng, max_draws, group=n)
+    loads = _sample_conditional_full_evaluation(DEFAULT_GMM, 174, needed, True, ref, max_draws)
+    if max_draws == 1:
+        assert loads.size < needed and loads.size % n
+    b = loads.size // n
+    expected = loads[: b * n].reshape(b, n).sum(axis=1)
+    assert got.size == b and got.flags.owndata
+    assert got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "keep_missed, needed, group, bytes_per_load",
+    [(True, 600_000, 1, 5.8), (False, 250_000, 1, 9.5), (True, 600_000, 6, 3.9)],
+    ids=["missed", "hit", "pooled"],
+)
+def test_sample_conditional_peak_memory(keep_missed, needed, group, bytes_per_load):
+    # a chunk of 4 * needed loads holds the result of needed // group sums,
+    # the chunk's one-byte components, the loads the pass can return with
+    # their two-byte offsets in the block and block-sized scratch, never a
+    # chunk-sized array of loads, uniforms or normals. Measured: about 5.1
+    # bytes per chunk load in the miss pass, 3.4 when it sums pools of 6 and
     # 8.3 in the hit pass, which keeps every load up to its limit-th sure hit.
     chunk = 4 * needed
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        _sample_conditional(DEFAULT_GMM, 176, needed, keep_missed, rng, 10**9)
+        _sample_conditional(DEFAULT_GMM, 176, needed, keep_missed, rng, 10**9, group=group)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,10 +262,10 @@ def test_delta_prime_evaluates_each_distinct_pooled_count_once(monkeypatch):
     p_pool = float(capture_probability(n))
     samples, calls = [], []
 
-    def recording_sampler(gmm, tau, needed, keep_missed, rng, max_draws):
-        loads = _sample_conditional(gmm, tau, needed, keep_missed, rng, max_draws)
-        samples.append(loads)
-        return loads
+    def recording_sampler(gmm, tau, needed, keep_missed, rng, max_draws, group=1):
+        sums = _sample_conditional(gmm, tau, needed, keep_missed, rng, max_draws, group)
+        samples.append(sums)
+        return sums
 
     def recording_tail(counts, p, tau):
         out = binomial_tail(counts, p, tau)
@@ -244,8 +275,8 @@ def test_delta_prime_evaluates_each_distinct_pooled_count_once(monkeypatch):
     monkeypatch.setattr(corrpool.theory, "_sample_conditional", recording_sampler)
     monkeypatch.setattr(corrpool.theory, "binomial_tail", recording_tail)
     est = estimate_delta_prime(n, 0.05, tau, DEFAULT_GMM, B=10**5, bootstrap_reps=5, rng=np.random.default_rng(4))
-    v_miss = samples[-1]
-    counts = np.rint(v_miss[: est.achieved_b * n].reshape(-1, n).sum(axis=1))
+    counts = np.rint(samples[-1])
+    assert counts.size == est.achieved_b
     distinct, tails = calls[-1]
     assert np.array_equal(distinct, np.unique(counts)) and distinct.size < counts.size
     expected = binomial_tail(counts, p_pool, tau)
