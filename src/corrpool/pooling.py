@@ -110,9 +110,10 @@ def _first_fit_loop(visit_sizes: np.ndarray, n: int):
     # ever decreases, so each pointer moves monotonically right and the whole
     # pass is O(n*P + H).
     first_fit = [0] * (n + 1)
-    # int64 arrays rather than lists, which would also hold an int object per
-    # entry and raise peak memory
-    visit_pool = array("q")
+    # visit_pool is a list because list.append is cheaper than array.append;
+    # its int objects, about 0.2 MB for 5,000 households, are freed on return.
+    # The rare split entries stay int64 arrays.
+    visit_pool = []
     split_visits = array("q")
     chunk_pool = array("q")  # split households' members go to these pools, chunk_count at a time
     chunk_count = array("q")
@@ -142,7 +143,7 @@ def _first_fit_loop(visit_sizes: np.ndarray, n: int):
             free[k] -= take
             s -= take
         first_fit[1] = k
-    return np.asarray(visit_pool), np.asarray(split_visits), np.repeat(chunk_pool, chunk_count)
+    return np.array(visit_pool, dtype=np.int64), np.asarray(split_visits), np.repeat(chunk_pool, chunk_count)
 
 
 def _first_fit_pairs(visit_sizes: np.ndarray, n: int):

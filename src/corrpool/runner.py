@@ -271,13 +271,29 @@ def worker_count() -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
 
 
+def _trim_heap():
+    """Return the C heap's free pages to the OS with glibc's malloc_trim(0);
+    a no-op where the C library has no malloc_trim."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):  # TypeError: no CDLL(None) on Windows
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
 def run_replications(config: ScenarioConfig, cells, tau: int) -> list[dict[str, StrategyTallies]]:
     """Run all replications of every (alpha, pool size) cell of config at
     threshold tau, one tallies dict per cell.
 
     With CORRPOOL_WORKERS > 1 one process pool runs them, a task being one
     replication of every cell. Results come back in replication order and are
-    split per cell, so output is identical for any worker count.
+    split per cell, so output is identical for any worker count. The heap is
+    trimmed just before the pool is created, because a forked child inherits
+    every mapped page of the parent, freed calibration memory included.
     """
     workers = worker_count()
     one = partial(_replication_tallies, config, cells, tau)
@@ -285,6 +301,7 @@ def run_replications(config: ScenarioConfig, cells, tau: int) -> list[dict[str, 
     if workers == 1 or len(reps) < 2 * workers:
         rows = list(map(one, reps))
     else:
+        _trim_heap()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one, reps, chunksize=math.ceil(len(reps) / workers)))
 

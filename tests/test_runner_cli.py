@@ -1,12 +1,14 @@
 """Tests for scenario orchestration, determinism, serialization, and the CLI."""
 
 import csv
+import ctypes
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,22 +156,61 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
     assert artifacts["1"] == artifacts["2"] == artifacts["3"]
 
 
+def _record_pools(monkeypatch, events):
+    """Append "pool" to events whenever the runner creates a worker pool."""
+
+    class RecordingPool(corrpool.runner.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            events.append("pool")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(corrpool.runner, "ProcessPoolExecutor", RecordingPool)
+
+
 @pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 1)])
 def test_one_worker_pool_per_command(monkeypatch, workers, pools):
     created = []
-
-    class CountingPool(corrpool.runner.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(corrpool.runner, "ProcessPoolExecutor", CountingPool)
+    _record_pools(monkeypatch, created)
     monkeypatch.setenv(WORKERS_ENV, workers)
     assert len(run_sweep(ScenarioConfig(**SMALL), [0.02, 0.05], [3, 6])) == 2 * 2 * 2
     assert len(created) == pools
     config = ScenarioConfig(**{**SMALL, "population_size": 60, "replications": 500})
     assert set(optimize_pool_size(config, [3, 6, 9])[1]) == {"naive", "correlated"}
     assert len(created) == 2 * pools
+
+
+@pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 2)])
+def test_heap_trimmed_once_before_each_pool(monkeypatch, workers, pools):
+    events = []
+
+    def malloc_trim(pad):
+        events.append(("malloc_trim", pad))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(malloc_trim=malloc_trim))
+    _record_pools(monkeypatch, events)
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    run_sweep(ScenarioConfig(**SMALL), [0.02, 0.05], [3, 6])
+    run_scenario(ScenarioConfig(**SMALL))
+    assert events == [("malloc_trim", 0), "pool"] * pools
+
+
+def test_pool_runs_where_the_c_library_has_no_malloc_trim(monkeypatch, tmp_path):
+    config = ScenarioConfig(**SMALL)
+    monkeypatch.setenv(WORKERS_ENV, "2")
+
+    def artifacts(name):
+        summary, sweep = tmp_path / f"summary_{name}.json", tmp_path / f"sweep_{name}.csv"
+        write_summary_json(run_scenario(config).summary_dict(), str(summary))
+        write_csv(run_sweep(config, [0.02, 0.05], [2, 40]), str(sweep))
+        return summary.read_bytes(), sweep.read_bytes()
+
+    trimmed = artifacts("trimmed")
+    events = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    _record_pools(monkeypatch, events)
+    assert artifacts("untrimmed") == trimmed
+    assert events == ["pool", "pool"]
 
 
 def test_no_infection_scenario_flags_undefined_sensitivity():
