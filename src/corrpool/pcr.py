@@ -25,10 +25,11 @@ All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target. One
 call draws the infected loads once, block by block, into one array of 4-byte
-counts (about 7 bytes per draw at its peak, with the categories and block
-scratch) and sorts it; each probe of the search, upward from tau = 1 for
-each target, sums the rate over the distinct counts below that tau's certain
-count.
+counts (about 6.2 bytes per draw at its peak, with block scratch; each
+block's mixture categories come from a copy of the stream, see
+category_stream) and sorts it; each probe of the search, upward from tau = 1
+for each target, sums the rate over the distinct counts below that tau's
+certain count.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
@@ -48,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc
 
-from .viral import _BLOCK, GmmParams, sample_categories, sample_viral_load
+from .viral import _BLOCK, GmmParams, category_stream, sample_categories, sample_viral_load
 
 _SURE_POSITIVE = 1.0 - 1e-12
 # Upper end of calibrate_tau's search range.
@@ -304,14 +305,15 @@ def _fnr_curve(K, p):
 def _draw_counts(gmm, rng, draws):
     """rint of `draws` loads, capped at _COUNT_MAX, as one uint32 array.
 
-    The mixture categories are drawn once, then the loads _BLOCK at a time,
-    the bits and stream position of one sample_viral_load call; each block is
-    rounded and capped in place and stored into the counts.
+    The loads are drawn _BLOCK at a time, each block's mixture categories
+    from category_stream(rng, draws), the bits and stream position of one
+    sample_viral_load call; each block is rounded and capped in place and
+    stored into the counts.
     """
-    comp = sample_categories(gmm.weights, rng, draws)
+    categories = category_stream(rng, draws)
     K = np.empty(draws, dtype=np.uint32)
     for start in range(0, draws, _BLOCK):
-        k = comp[start : start + _BLOCK]
+        k = sample_categories(gmm.weights, categories, min(_BLOCK, draws - start))
         v = sample_viral_load(gmm, rng, k.size, components=k)
         np.rint(v, out=v)
         K[start : start + v.size] = np.minimum(v, _COUNT_MAX, out=v)

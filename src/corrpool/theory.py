@@ -14,13 +14,17 @@ E[X] into a conservative ratio interval. The sampler screens out certain
 hits: a load at or above the individual test's certain count K_c, about nine
 in ten at beta_bar = 5%, is a hit without evaluating its tail, and the result
 is bit-identical to evaluating every tail (see _sample_conditional). A chunk
-of up to 4e6 loads draws its one-byte categories at once, then its loads and
-accept uniforms in blocks of 2**16, keeping only the loads the pass can
+of up to 4e6 loads draws its loads and accept uniforms in blocks of 2**16,
+each block's mixture categories from a copy of the stream that the loads
+skip ahead of (see category_stream), keeping only the loads the pass can
 return. The miss pass sums each pool of n accepted loads as it accepts them,
-so it returns B sums, not n*B loads. By tracemalloc a pass peaks at about
-5.1 (misses), 3.4 (misses summed in pools of 6) and 8.3 (hits) bytes per
-chunk load, its result included (tests/test_theory.py holds them under 5.8,
-3.9 and 9.5); the miss pass of n = 12, B = 1e6 peaks at about 18 MB.
+so it returns B sums, not n*B loads, and X's tails are evaluated once per
+distinct rounded sum, found by one argsort, not np.unique. By tracemalloc a
+pass peaks at about 4.1 (misses), 2.4 (misses summed in pools of 6) and 7.4
+(hits) bytes per chunk load, its result included (tests/test_theory.py holds
+them under 4.7, 2.8 and 8.5), and a whole estimate at n = 6, B = 1e5 at about
+2.4 bytes per miss-pass chunk load; the miss pass of n = 12, B = 1e6 peaks at
+about 15 MB.
 delta_prime_quadrature computes the same delta' exactly over integer counts;
 it is the sampler's oracle and is not wired into the CLI.
 """
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pcr import PiecewiseSensitivity, _certain_count, binomial_tail, capture_probability
-from .viral import _BLOCK, GmmParams, count_pmf, sample_categories, sample_viral_load
+from .pcr import PiecewiseSensitivity, _certain_count, _distinct_sorted, binomial_tail, capture_probability
+from .viral import _BLOCK, GmmParams, category_stream, count_pmf, sample_categories, sample_viral_load
 
 _POOL_SIZE = 2  # the counterexample is built on pools of two
 
@@ -126,9 +130,10 @@ class DeltaPrimeEstimate:
     ci_reliable: bool = True
 
 
-def _candidates(gmm, comp, keep_missed, certain, rng, limit):
-    """Draw the chunk's loads for categories comp, _BLOCK at a time, and keep
-    per block the loads the pass can return.
+def _candidates(gmm, categories, size, keep_missed, certain, rng, limit):
+    """Draw the chunk's `size` loads _BLOCK at a time, each block's mixture
+    categories from the generator `categories` (see category_stream), and
+    keep per block the loads the pass can return.
 
     The miss pass keeps (loads, offsets in the block) of the loads under the
     certain count; the hit pass keeps every load up to the limit-th load at or
@@ -136,8 +141,8 @@ def _candidates(gmm, comp, keep_missed, certain, rng, limit):
     """
     kept = []
     sure = 0
-    for start in range(0, comp.size, _BLOCK):
-        k = comp[start : start + _BLOCK]
+    for start in range(0, size, _BLOCK):
+        k = sample_categories(gmm.weights, categories, min(_BLOCK, size - start))
         v = sample_viral_load(gmm, rng, k.size, components=k)
         if keep_missed:
             low = np.flatnonzero(v < certain)
@@ -199,16 +204,17 @@ def _sample_conditional(
     without evaluating its tail: K_c is an integer, so rint(v) >= K_c, the
     tail is exactly 1.0 and every uniform lies below it. The tails of the
     counts 0..K_c are evaluated once per pass; binomial_tail gives each count
-    the same bits alone or in an array. A chunk draws its categories, then
-    its loads block by block, keeping only those the pass can return (see
-    _candidates), then frees the categories and draws its accept uniforms
-    block by block; it never holds a chunk-sized array of loads, normals or
-    uniforms. The result is an owned array of at most needed // group sums,
-    one per complete pool of the first `needed` accepted loads; a pool left
-    short by max_draws is dropped. The kept loads and the stream position are
-    those of drawing the chunk's loads and uniforms at once and evaluating
-    every load's tail, and each sum has the bits of reshaping those loads
-    into rows of `group` and summing the rows.
+    the same bits alone or in an array. A chunk draws its loads block by
+    block, each block's categories from category_stream(rng, chunk), keeping
+    only the loads the pass can return (see _candidates), then draws its
+    accept uniforms block by block; it never holds a chunk-sized array of
+    categories, loads, normals or uniforms. The result is an owned array of
+    at most needed // group sums, one per complete pool of the first
+    `needed` accepted loads; a pool left short by max_draws is dropped. The
+    kept loads and the stream position are those of drawing the chunk's
+    loads and uniforms at once and evaluating every load's tail, and each sum
+    has the bits of reshaping those loads into rows of `group` and summing
+    the rows.
     """
     p_ind = float(capture_probability(1))
     certain = _certain_count(p_ind, tau)
@@ -220,9 +226,8 @@ def _sample_conditional(
     chunk = max(min(needed * 4, 4_000_000), 100_000)
     buf = np.empty(_BLOCK)
     while filled < needed and drawn < max_draws:
-        comp = sample_categories(gmm.weights, rng, chunk)
-        kept = _candidates(gmm, comp, keep_missed, certain, rng, needed - filled)
-        del comp  # freed before the accept uniforms are drawn
+        categories = category_stream(rng, chunk)
+        kept = _candidates(gmm, categories, chunk, keep_missed, certain, rng, needed - filled)
         filled, carry = _accept(
             kept, keep_missed, tails, certain, rng, buf, chunk, needed, group, out, filled, carry
         )
@@ -308,10 +313,15 @@ def estimate_delta_prime(
     # X: pool of n loads, each conditional on an individual-test miss,
     # summed pool by pool as the miss pass accepts them
     pooled = _sample_conditional(gmm, tau, n * B, keep_missed=True, rng=rng, max_draws=max_draws, group=n)
-    # the pooled counts repeat: evaluate each distinct one once
-    counts, index = np.unique(np.rint(pooled), return_inverse=True)
+    # the pooled counts repeat: evaluate each distinct one once, found in
+    # sorted order, and write each pool's tail back in pool order
+    np.rint(pooled, out=pooled)
+    order = pooled.argsort()
+    counts, multiplicities = _distinct_sorted(pooled[order])
     del pooled
-    x = binomial_tail(counts, p_pool, tau)[index]
+    x = np.empty(order.size)
+    x[order] = np.repeat(binomial_tail(counts, p_pool, tau), multiplicities)
+    del order
     x_bar = float(x.mean())
     factor = beta_bar / (1.0 - beta_bar)
     point = (x_bar / z_bar) * factor

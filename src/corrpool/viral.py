@@ -6,6 +6,7 @@ linear copies. Cycle-threshold (Ct) values convert to log10 viral load via an
 affine calibration curve.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -114,34 +115,66 @@ def sample_categories(weights, rng: np.random.Generator, size) -> np.ndarray:
     return out
 
 
+def category_stream(rng: np.random.Generator, size: int) -> np.random.Generator:
+    """The generator that a draw of `size` loads on rng takes its mixture
+    categories from, _BLOCK at a time through sample_categories.
+
+    A draw of one block takes them from rng itself. A longer draw takes them
+    from a copy of rng, still at the category uniforms, and rng skips past
+    those uniforms, so the loads' normals follow from where one call would
+    draw them. Generator.random takes one 64-bit PCG64 output per double, so
+    rng.bit_generator.advance(size) lands exactly after `size` uniforms;
+    advance also drops the half of a 64-bit output that a 32-bit draw left
+    buffered, which no double consumes, so it is restored. Only PCG64, the
+    bit generator of np.random.default_rng, is accepted.
+    """
+    if size <= _BLOCK:
+        return rng
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"categories are drawn ahead on PCG64 streams only, not {type(bits).__name__}")
+    categories = copy.deepcopy(rng)
+    state = bits.state
+    bits.advance(size)
+    ahead = bits.state
+    ahead["has_uint32"], ahead["uinteger"] = state["has_uint32"], state["uinteger"]
+    bits.state = ahead
+    return categories
+
+
 def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size, components=None):
     """Draw log10 viral loads for infected individuals from the mixture.
 
     The same bits and stream position as rng.normal(mu[comp], sd[comp]) with
     comp = rng.choice(len(w), size, p=w), drawn by sample_categories. Given
     `components` (sample_categories output of the same size), only the
-    normals are drawn, so categories drawn once for a chunk and then the
-    chunk's loads block by block give the bits and stream position of one
-    call. The normals are drawn _BLOCK at a time into the output and scaled
-    through one reused buffer, each block's components converted once into a
-    reused index buffer for both lookups, so a call holds its output, the
-    components and block scratch.
+    normals are drawn, so a caller that draws each block's categories from
+    category_stream(rng, size) and then that block's loads gets the bits and
+    stream position of one call. The normals are drawn _BLOCK at a time into
+    the output and scaled through one reused buffer, each block's components
+    converted once into a reused index buffer for both lookups. Without
+    `components` each block's categories are drawn the same way, so a call
+    holds its output and block scratch, about 9.7 bytes per load at 10**6
+    loads.
     """
     w, mu, sd = params.as_arrays()
     out = np.empty(size)
+    flat = out.reshape(-1)
     if components is None:
-        comp = sample_categories(w, rng, out.shape).reshape(-1)
+        categories = category_stream(rng, flat.size)
     else:
         comp = np.asarray(components).reshape(-1)
-        if comp.size != out.size:
+        if comp.size != flat.size:
             raise ValueError("components must hold one category per load")
-    flat = out.reshape(-1)
     buf = np.empty(min(flat.size, _BLOCK))
     idx = np.empty(buf.size, dtype=np.intp)
     for start in range(0, flat.size, _BLOCK):
         x = flat[start : start + _BLOCK]
         k = idx[: x.size]
-        k[...] = comp[start : start + _BLOCK]
+        if components is None:
+            k[...] = sample_categories(w, categories, x.size)
+        else:
+            k[...] = comp[start : start + _BLOCK]
         rng.standard_normal(out=x)
         x *= sd.take(k, out=buf[: x.size], mode="clip")
         x += mu.take(k, out=buf[: x.size], mode="clip")

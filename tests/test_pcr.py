@@ -336,9 +336,10 @@ def test_fnr_curve_matches_the_mean_over_every_draw():
 
 
 def test_calibration_holds_little_beyond_its_counts():
-    # the 4-byte counts, their one-byte categories and block-sized scratch
-    # while drawing: about 7.1 bytes per draw (16.0 with float loads rounded
-    # into a second float array)
+    # the 4-byte counts and block-sized scratch while drawing, each block's
+    # categories included: about 6.2 bytes per draw (7.1 when the one-byte
+    # categories of every draw were drawn at once, 16.0 with float loads
+    # rounded into a second float array)
     draws = 10**6
     for seed in (0, 1):
         tracemalloc.start()
@@ -347,7 +348,7 @@ def test_calibration_holds_little_beyond_its_counts():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / draws < 8.2
+        assert peak / draws < 7.1
 
 
 # about 29% of its loads hold more than 2**32 copies

@@ -195,16 +195,18 @@ def test_miss_pass_pool_sums_equal_the_reshaped_loads(monkeypatch, n, block, max
 
 @pytest.mark.parametrize(
     "keep_missed, needed, group, bytes_per_load",
-    [(True, 600_000, 1, 5.8), (False, 250_000, 1, 9.5), (True, 600_000, 6, 3.9)],
+    [(True, 600_000, 1, 4.7), (False, 250_000, 1, 8.5), (True, 600_000, 6, 2.8)],
     ids=["missed", "hit", "pooled"],
 )
 def test_sample_conditional_peak_memory(keep_missed, needed, group, bytes_per_load):
     # a chunk of 4 * needed loads holds the result of needed // group sums,
-    # the chunk's one-byte components, the loads the pass can return with
-    # their two-byte offsets in the block and block-sized scratch, never a
-    # chunk-sized array of loads, uniforms or normals. Measured: about 5.1
-    # bytes per chunk load in the miss pass, 3.4 when it sums pools of 6 and
-    # 8.3 in the hit pass, which keeps every load up to its limit-th sure hit.
+    # the loads the pass can return with their two-byte offsets in the block
+    # and block-sized scratch, each block's categories included, never a
+    # chunk-sized array of categories, loads, uniforms or normals. Measured:
+    # about 4.1 bytes per chunk load in the miss pass, 2.4 when it sums pools
+    # of 6 and 7.4 in the hit pass, which keeps every load up to its
+    # limit-th sure hit (5.1, 3.4 and 8.3 when a chunk held its one-byte
+    # categories).
     chunk = 4 * needed
     rng = np.random.default_rng(5)
     tracemalloc.start()
@@ -214,6 +216,23 @@ def test_sample_conditional_peak_memory(keep_missed, needed, group, bytes_per_lo
     finally:
         tracemalloc.stop()
     assert peak / chunk < bytes_per_load
+
+
+def test_delta_prime_peak_memory():
+    # the whole estimate peaks in its miss pass, a chunk of 2.4e6 loads
+    # here: about 2.4 bytes per chunk load. Finding X's distinct counts by
+    # argsort holds the rounded sums, their order and one more B-sized array,
+    # under that peak; np.unique's temporaries and a chunk's one-byte
+    # categories took it to 3.4.
+    n, B = 6, 10**5
+    chunk = min(4 * n * B, 4_000_000)
+    tracemalloc.start()
+    try:
+        estimate_delta_prime(n, 0.05, 176, DEFAULT_GMM, B=B, bootstrap_reps=5, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / chunk < 2.8
 
 
 @pytest.mark.parametrize("keep_missed", [True, False], ids=["missed", "hit"])
