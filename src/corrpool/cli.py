@@ -10,7 +10,8 @@ calibrate and delta-bound check every target and cell first and then make one
 calibrate_tau call, so one draw of calibration loads serves every target of
 the command. Each delta-bound cell then estimates delta' on its own copy of
 the generator as calibration left it, so a --full-table cell equals the same
-cell run alone.
+cell run alone. --full-table runs every cell of the table, so it refuses an
+explicit --n or --beta-bar rather than ignore it.
 """
 
 import argparse
@@ -144,11 +145,13 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_delta_bound(args) -> int:
-    cells = (
-        [(n, b) for n in _DELTA_TABLE_NS for b in _DELTA_TABLE_BETAS]
-        if args.full_table
-        else [(args.n, args.beta_bar)]
-    )
+    if args.full_table:
+        for flag, value in (("--n", args.n), ("--beta-bar", args.beta_bar)):
+            if value is not None:
+                raise ConfigError(f"--full-table runs every n and beta_bar of the table; drop {flag}")
+        cells = [(n, b) for n in _DELTA_TABLE_NS for b in _DELTA_TABLE_BETAS]
+    else:
+        cells = [(2 if args.n is None else args.n, 0.025 if args.beta_bar is None else args.beta_bar)]
     for n, beta_bar in cells:
         check_calibration(beta_bar)
         check_delta_prime(n, args.b, args.bootstrap_reps)
@@ -284,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("delta-bound", help="estimate the delta' follow-up-cost bound")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--beta-bar", type=float, default=0.025)
+    p.add_argument("--n", type=int, help="pool size (default 2; not with --full-table)")
+    p.add_argument("--beta-bar", type=float, help="target individual-test FNR (default 0.025; not with --full-table)")
     p.add_argument("--full-table", action="store_true", help="emit the full n x beta_bar grid")
     p.add_argument("--b", type=int, default=10**6, help="Monte-Carlo sample size")
     p.add_argument("--bootstrap-reps", type=int, default=10**4)

@@ -496,11 +496,13 @@ def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
         (["calibrate", "--beta-bar", "0.05", "--seed", "-1"], "--seed"),
         (["delta-bound", "--seed", str(2**64)], "--seed"),
         (["delta-bound", "--seed", "-1"], "--seed"),
+        (["delta-bound", "--full-table", "--n", "6"], "--n"),
+        (["delta-bound", "--full-table", "--beta-bar", "0.05"], "--beta-bar"),
     ],
     ids=[
         "reps_zero", "reps_negative", "n_one", "b_small", "delta_beta_bar", "calibrate_beta_bar", "draws",
         "calibrate_no_target", "grid_negative", "grid_zero", "grid_one", "calibrate_seed_2_64",
-        "calibrate_seed_negative", "delta_seed_2_64", "delta_seed_negative",
+        "calibrate_seed_negative", "delta_seed_2_64", "delta_seed_negative", "full_table_n", "full_table_beta_bar",
     ],
 )
 def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv, named):

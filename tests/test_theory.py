@@ -1,6 +1,7 @@
 """Tests for the counterexample closed forms and the delta' bound estimator."""
 
 import copy
+import threading
 import tracemalloc
 from dataclasses import astuple
 
@@ -10,6 +11,7 @@ import pytest
 import corrpool.theory
 from corrpool.pcr import binomial_tail, calibrate_tau, capture_probability
 from corrpool.theory import (
+    _bootstrap_means,
     _sample_conditional,
     counterexample_closed_form,
     counterexample_enumerate,
@@ -74,9 +76,12 @@ def test_delta_prime_smoke():
     rng = np.random.default_rng(0)
     beta_bar = 0.05
     (tau,) = calibrate_tau([beta_bar], DEFAULT_GMM, rng, draws=2 * 10**5)
+    threads = threading.active_count()
     est = estimate_delta_prime(
         6, beta_bar, tau, DEFAULT_GMM, B=10**5, bootstrap_reps=200, rng=rng
     )
+    # the bootstrap's helper thread is gone once the estimate returns
+    assert threading.active_count() == threads
     assert est.delta_prime_hat > 0
     assert est.ci_low <= est.delta_prime_hat <= est.ci_high
     # order of magnitude of the n=6, beta_bar=5% table entry
@@ -233,6 +238,46 @@ def test_delta_prime_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak / chunk < 2.8
+
+
+def _serial_bootstrap_means(x, reps, rng):
+    # reference: one replicate drawn and averaged at a time, on one thread
+    boot = np.empty(reps)
+    for r in range(reps):
+        boot[r] = x.take(rng.integers(0, x.size, x.size)).mean()
+    return boot
+
+
+@pytest.mark.parametrize("size", [10**5, 180_000])
+@pytest.mark.parametrize("reps", [1, 2, 3, 64])
+def test_bootstrap_means_equal_the_serial_loop(size, reps):
+    # x is mostly zeros, like X's tails, with a few values in (0, 1)
+    data = np.random.default_rng(size)
+    x = np.where(data.random(size) < 0.03, data.random(size), 0.0)
+    rng, twin = np.random.default_rng(reps), np.random.default_rng(reps)
+    assert np.array_equal(_bootstrap_means(x, reps, rng), _serial_bootstrap_means(x, reps, twin))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class _ThirdDrawFails:
+    """A generator whose third integers call raises."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+        self.calls = 0
+
+    def integers(self, *args):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("third draw failed")
+        return self.rng.integers(*args)
+
+
+def test_bootstrap_draw_error_reaches_the_caller_with_no_thread_left():
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="third draw failed"):
+        _bootstrap_means(np.linspace(0.0, 1.0, 1000), 5, _ThirdDrawFails())
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("keep_missed", [True, False], ids=["missed", "hit"])
