@@ -25,8 +25,7 @@ All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target. One
 call draws the infected loads once, block by block, into one array of 4-byte
-counts (about 6.2 bytes per draw at its peak, with block scratch; each
-block's mixture categories come from a copy of the stream, see
+counts (each block's mixture categories come from a copy of the stream, see
 category_stream) and sorts it; each probe of the search, upward from tau = 1
 for each target, sums the rate over the distinct counts below that tau's
 certain count.
@@ -49,13 +48,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc
 
-from .viral import _BLOCK, GmmParams, category_stream, sample_categories, sample_viral_load
+from .viral import GmmParams, category_stream, sample_viral_load
 
 _SURE_POSITIVE = 1.0 - 1e-12
 # Upper end of calibrate_tau's search range.
 _TAU_MAX = 10**7
 # calibrate_tau's counts are uint32: a larger count is stored as this cap.
 _COUNT_MAX = np.iinfo(np.uint32).max
+# Loads per block of calibration's and the delta' sampler's draws: 512 KB of doubles.
+_BLOCK = 1 << 16
 
 
 # Per-copy capture probability of an individual test: binding efficiency 0.5
@@ -313,8 +314,7 @@ def _draw_counts(gmm, rng, draws):
     categories = category_stream(rng, draws)
     K = np.empty(draws, dtype=np.uint32)
     for start in range(0, draws, _BLOCK):
-        k = sample_categories(gmm.weights, categories, min(_BLOCK, draws - start))
-        v = sample_viral_load(gmm, rng, k.size, components=k)
+        v = sample_viral_load(gmm, rng, min(_BLOCK, draws - start), categories)
         np.rint(v, out=v)
         K[start : start + v.size] = np.minimum(v, _COUNT_MAX, out=v)
     return K

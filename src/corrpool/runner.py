@@ -263,12 +263,16 @@ def _replication_tallies(config: ScenarioConfig, cells, tau: int, rep: int) -> l
 
 
 def worker_count() -> int:
-    """Worker processes from CORRPOOL_WORKERS: default 1, values below 1 mean 1."""
+    """Worker processes from CORRPOOL_WORKERS, default 1; any value but an
+    integer of at least 1 is a ConfigError."""
     value = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(value))
+        workers = int(value)
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {value!r}")
+    return workers
 
 
 def _trim_heap():

@@ -19,12 +19,7 @@ each block's mixture categories from a copy of the stream that the loads
 skip ahead of (see category_stream), keeping only the loads the pass can
 return. The miss pass sums each pool of n accepted loads as it accepts them,
 so it returns B sums, not n*B loads, and X's tails are evaluated once per
-distinct rounded sum, found by one argsort, not np.unique. By tracemalloc a
-pass peaks at about 4.1 (misses), 2.4 (misses summed in pools of 6) and 7.4
-(hits) bytes per chunk load, its result included (tests/test_theory.py holds
-them under 4.7, 2.8 and 8.5), and a whole estimate at n = 6, B = 1e5 at about
-2.4 bytes per miss-pass chunk load; the miss pass of n = 12, B = 1e6 peaks at
-about 15 MB.
+distinct rounded sum, found by one argsort, not np.unique.
 The bootstrap of E[X] is a two-stage pipeline (see _bootstrap_means): the
 calling thread draws every replicate's indices, in replicate order, while one
 helper thread gathers and averages the previous replicate's resample, so the
@@ -39,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pcr import PiecewiseSensitivity, _certain_count, _distinct_sorted, binomial_tail, capture_probability
-from .viral import _BLOCK, GmmParams, category_stream, count_pmf, sample_categories, sample_viral_load
+from .pcr import _BLOCK, PiecewiseSensitivity, _certain_count, _distinct_sorted, binomial_tail, capture_probability
+from .viral import GmmParams, category_stream, count_pmf, sample_viral_load
 
 _POOL_SIZE = 2  # the counterexample is built on pools of two
 
@@ -148,8 +143,7 @@ def _candidates(gmm, categories, size, keep_missed, certain, rng, limit):
     kept = []
     sure = 0
     for start in range(0, size, _BLOCK):
-        k = sample_categories(gmm.weights, categories, min(_BLOCK, size - start))
-        v = sample_viral_load(gmm, rng, k.size, components=k)
+        v = sample_viral_load(gmm, rng, min(_BLOCK, size - start), categories)
         if keep_missed:
             low = np.flatnonzero(v < certain)
             kept.append((v[low], low.astype(np.min_scalar_type(_BLOCK - 1))))

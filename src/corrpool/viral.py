@@ -16,8 +16,6 @@ from scipy.special import ndtr
 # log10 VL = CT_INTERCEPT + CT_SLOPE * Ct
 CT_INTERCEPT = 14.0 + np.log10(1.105)
 CT_SLOPE = -0.681 / np.log(10.0)
-# Draws per block of the samplers below: 512 KB of doubles.
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,28 +97,22 @@ def sample_categories(weights, rng: np.random.Generator, size) -> np.ndarray:
     The category of a uniform u is the number of CDF entries at or below it,
     which is what choice's searchsorted(side="right") returns, counted here
     with one comparison per category boundary into an index just wide enough
-    for the category count. The uniforms are drawn _BLOCK at a time into one
-    reused buffer, the same doubles in the same order as one rng.random(size).
+    for the category count.
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
+    u = rng.random(size)
     out = np.zeros(size, dtype=np.min_scalar_type(len(cdf) - 1))
-    flat = out.reshape(-1)
-    buf = np.empty(min(flat.size, _BLOCK))
-    for start in range(0, flat.size, _BLOCK):
-        u = buf[: flat.size - start]
-        rng.random(out=u)
-        for c in cdf[:-1]:
-            flat[start : start + u.size] += u >= c
+    for c in cdf[:-1]:
+        out += u >= c
     return out
 
 
 def category_stream(rng: np.random.Generator, size: int) -> np.random.Generator:
-    """The generator that a draw of `size` loads on rng takes its mixture
-    categories from, _BLOCK at a time through sample_categories.
+    """The generator from which a caller drawing `size` loads in blocks, each
+    block through sample_viral_load(..., categories), takes the categories.
 
-    A draw of one block takes them from rng itself. A longer draw takes them
-    from a copy of rng, still at the category uniforms, and rng skips past
+    It is a copy of rng, still at the category uniforms, and rng skips past
     those uniforms, so the loads' normals follow from where one call would
     draw them. Generator.random takes one 64-bit PCG64 output per double, so
     rng.bit_generator.advance(size) lands exactly after `size` uniforms;
@@ -128,8 +120,6 @@ def category_stream(rng: np.random.Generator, size: int) -> np.random.Generator:
     buffered, which no double consumes, so it is restored. Only PCG64, the
     bit generator of np.random.default_rng, is accepted.
     """
-    if size <= _BLOCK:
-        return rng
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise TypeError(f"categories are drawn ahead on PCG64 streams only, not {type(bits).__name__}")
@@ -142,46 +132,24 @@ def category_stream(rng: np.random.Generator, size: int) -> np.random.Generator:
     return categories
 
 
-def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size, components=None):
+def sample_log10_viral_load(params: GmmParams, rng: np.random.Generator, size, categories=None):
     """Draw log10 viral loads for infected individuals from the mixture.
 
     The same bits and stream position as rng.normal(mu[comp], sd[comp]) with
-    comp = rng.choice(len(w), size, p=w), drawn by sample_categories. Given
-    `components` (sample_categories output of the same size), only the
-    normals are drawn, so a caller that draws each block's categories from
-    category_stream(rng, size) and then that block's loads gets the bits and
-    stream position of one call. The normals are drawn _BLOCK at a time into
-    the output and scaled through one reused buffer, each block's components
-    converted once into a reused index buffer for both lookups. Without
-    `components` each block's categories are drawn the same way, so a call
-    holds its output and block scratch, about 9.7 bytes per load at 10**6
-    loads.
+    comp = rng.choice(len(w), size, p=w), drawn by sample_categories from the
+    generator `categories` (rng by default), then rng's standard normals
+    scaled per component. The components are converted to intp once for both
+    lookups: take or indexing with one-byte indices is several times slower.
     """
     w, mu, sd = params.as_arrays()
-    out = np.empty(size)
-    flat = out.reshape(-1)
-    if components is None:
-        categories = category_stream(rng, flat.size)
-    else:
-        comp = np.asarray(components).reshape(-1)
-        if comp.size != flat.size:
-            raise ValueError("components must hold one category per load")
-    buf = np.empty(min(flat.size, _BLOCK))
-    idx = np.empty(buf.size, dtype=np.intp)
-    for start in range(0, flat.size, _BLOCK):
-        x = flat[start : start + _BLOCK]
-        k = idx[: x.size]
-        if components is None:
-            k[...] = sample_categories(w, categories, x.size)
-        else:
-            k[...] = comp[start : start + _BLOCK]
-        rng.standard_normal(out=x)
-        x *= sd.take(k, out=buf[: x.size], mode="clip")
-        x += mu.take(k, out=buf[: x.size], mode="clip")
-    return out
+    k = sample_categories(w, rng if categories is None else categories, size).astype(np.intp)
+    x = rng.standard_normal(size)
+    x *= sd.take(k)
+    x += mu.take(k)
+    return x
 
 
-def sample_viral_load(params: GmmParams, rng: np.random.Generator, size, components=None):
+def sample_viral_load(params: GmmParams, rng: np.random.Generator, size, categories=None):
     """Draw viral loads in linear copies/mL for infected individuals."""
-    x = sample_log10_viral_load(params, rng, size, components)
+    x = sample_log10_viral_load(params, rng, size, categories)
     return np.power(10.0, x, out=x)

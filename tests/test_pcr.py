@@ -351,6 +351,28 @@ def test_calibration_holds_little_beyond_its_counts():
         assert peak / draws < 7.1
 
 
+def test_calibration_draws_every_load_through_pcr_in_blocks(monkeypatch):
+    # perfbench wraps corrpool.pcr.sample_viral_load to count calibration's
+    # draws; calibration must reach every load there, a block at a time
+    draws = 10**6
+
+    def run():
+        return calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0), draws=draws)
+
+    expected = run()
+    sizes = []
+
+    def counting_sampler(*args, **kwargs):
+        loads = sample_viral_load(*args, **kwargs)
+        sizes.append(loads.size)
+        return loads
+
+    monkeypatch.setattr(corrpool.pcr, "sample_viral_load", counting_sampler)
+    assert run() == expected
+    assert max(sizes) <= corrpool.pcr._BLOCK
+    assert sum(sizes) == draws
+
+
 # about 29% of its loads hold more than 2**32 copies
 _HIGH_GMM = GmmParams((0.3, 0.7), (10.5, 4.0), (0.5, 1.0))
 

@@ -11,7 +11,7 @@ from corrpool.population import (
     generate_population,
     household_infection_prob,
 )
-from corrpool.viral import _BLOCK, sample_categories
+from corrpool.viral import sample_categories
 
 US = HOUSEHOLD_DISTS["US"]
 SINGLETONS = HouseholdDist((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
@@ -132,9 +132,9 @@ def test_viral_loads_only_for_infected():
 @pytest.mark.parametrize("weights", [d.weights for d in HOUSEHOLD_DISTS.values()] + [(0.5, 0.5, 0, 0, 0, 0)])
 def test_household_size_draw_matches_rng_choice(weights):
     # generate_population's size draw: rng.choice's values and generator
-    # position, also at sizes around the sampler's block
+    # position, also for a shaped size
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    for size in (1, 7, 5000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+    for size in (1, 7, 5000, 10**5 + 1, (3, 70_000)):
         got = _SIZES[sample_categories(weights, rng, size)]
         assert np.array_equal(got, ref.choice(_SIZES, size=size, p=np.asarray(weights)))
         assert rng.bit_generator.state == ref.bit_generator.state

@@ -18,7 +18,7 @@ import corrpool.pcr
 import corrpool.runner
 from corrpool.cli import build_parser, main
 from corrpool.errors import ConfigError
-from corrpool.pcr import calibrate_tau
+from corrpool.pcr import _BLOCK, calibrate_tau
 from corrpool.runner import (
     WORKERS_ENV,
     ScenarioConfig,
@@ -32,7 +32,7 @@ from corrpool.runner import (
 )
 from corrpool.sir import optimize_pool_size
 from corrpool.theory import estimate_delta_prime
-from corrpool.viral import _BLOCK, DEFAULT_GMM
+from corrpool.viral import DEFAULT_GMM
 
 SMALL = dict(
     alpha=0.05,
@@ -410,18 +410,24 @@ def test_cli_exit_code_config_error(tmp_path):
 def test_worker_count_parses_env(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     assert worker_count() == 1
-    for value, expected in (("3", 3), ("0", 1), ("-2", 1)):
+    for value, expected in (("1", 1), ("3", 3)):
         monkeypatch.setenv(WORKERS_ENV, value)
         assert worker_count() == expected
+    # a count below 1 is malformed, not replaced by 1
+    for value in ("0", "-2"):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        with pytest.raises(ConfigError, match=f"{WORKERS_ENV} must be at least 1, got '{value}'"):
+            worker_count()
 
 
 def test_cli_malformed_workers_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv(WORKERS_ENV, "abc")
-    rc = main(["simulate", "--tau", "174", "--population-size", "60", "--replications", "2"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err
-    assert WORKERS_ENV in err and "'abc'" in err
+    for value in ("abc", "0", "-2"):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        rc = main(["simulate", "--tau", "174", "--population-size", "60", "--replications", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert WORKERS_ENV in err and repr(value) in err
 
 
 @pytest.mark.parametrize(

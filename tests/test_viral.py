@@ -1,19 +1,17 @@
 """Tests for the viral-load mixture model and Ct conversion."""
 
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from corrpool.pcr import _BLOCK
 from corrpool.viral import (
-    _BLOCK,
     DEFAULT_GMM,
     GmmParams,
     category_stream,
     count_pmf,
     ct_to_log10_viral_load,
-    sample_categories,
     sample_log10_viral_load,
     sample_viral_load,
 )
@@ -81,52 +79,55 @@ def test_degenerate_single_component_draws():
 def test_draws_equal_normal_with_per_draw_parameters(params):
     # the sampler picks components and scales standard normals itself;
     # rng.choice then rng.normal(mu[comp], sd[comp]) on a copy of the generator
-    # is the reference, bits and stream position, also at sizes around the
-    # sampler's block
+    # is the reference, bits and stream position, also for a shaped size
     w, mu, sd = params.as_arrays()
-    for size in (0, 1, 10**5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+    for size in (0, 1, 10**5, (3, 70_000)):
         rng = np.random.default_rng(6)
         ref = copy.deepcopy(rng)
         draws = sample_log10_viral_load(params, rng, size)
         comp = ref.choice(len(w), size=size, p=w)
         expected = ref.normal(mu[comp], sd[comp])
-        assert draws.shape == (size,)
+        assert draws.shape == expected.shape
         assert draws.tobytes() == expected.tobytes()
         assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 def test_draws_from_given_components_block_by_block_equal_one_call(size):
-    # categories for the whole chunk, then its loads a block at a time from
-    # those categories: the bits and stream position of one call
-    rng = np.random.default_rng(8)
-    ref = copy.deepcopy(rng)
-    comp = sample_categories(DEFAULT_GMM.weights, rng, size)
+    # loads a block at a time, their categories from a given generator: the
+    # bits and the positions of both streams of one call given that generator,
+    # whose categories are rng.choice's on it, the normals rng.normal's on rng
+    rng, categories = np.random.default_rng(8), np.random.default_rng(9)
+    ref, ref_categories = copy.deepcopy(rng), copy.deepcopy(categories)
     blocks = [
-        sample_viral_load(DEFAULT_GMM, rng, comp[start : start + _BLOCK].size, components=comp[start : start + _BLOCK])
+        sample_viral_load(DEFAULT_GMM, rng, min(_BLOCK, size - start), categories)
         for start in range(0, size, _BLOCK)
     ]
-    assert np.concatenate(blocks).tobytes() == sample_viral_load(DEFAULT_GMM, ref, size).tobytes()
-    assert rng.random() == ref.random()
+    one_call = sample_viral_load(DEFAULT_GMM, copy.deepcopy(ref), size, copy.deepcopy(ref_categories))
+    w, mu, sd = DEFAULT_GMM.as_arrays()
+    comp = ref_categories.choice(len(w), size=size, p=w)
+    expected = np.power(10.0, ref.normal(mu[comp], sd[comp]))
+    assert np.concatenate(blocks).tobytes() == one_call.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert categories.bit_generator.state == ref_categories.bit_generator.state
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["plain", "uint32_buffered"])
-@pytest.mark.parametrize("size", [_BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 10**6])
+@pytest.mark.parametrize("size", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 10**6])
 def test_category_stream_blocks_equal_one_call(size, buffered):
-    # each block's categories from the helper's generator, then its loads
-    # from those categories: the bits and stream state of one call, including
-    # the half of a 64-bit output that a 32-bit draw left buffered. The
-    # reference is rng.choice and rng.normal on a twin, which skips nothing.
+    # each block's loads with its categories from the helper's generator: the
+    # bits and stream state of one call, including the half of a 64-bit
+    # output that a 32-bit draw left buffered. The reference is rng.choice
+    # and rng.normal on a twin, which skips nothing.
     rng = np.random.default_rng(11)
     if buffered:
         rng.integers(0, 5, 3, dtype=np.uint32)
     ref = copy.deepcopy(rng)
     categories = category_stream(rng, size)
-    assert (categories is rng) == (size <= _BLOCK)
-    blocks = []
-    for start in range(0, size, _BLOCK):
-        k = sample_categories(DEFAULT_GMM.weights, categories, min(_BLOCK, size - start))
-        blocks.append(sample_viral_load(DEFAULT_GMM, rng, k.size, components=k))
+    blocks = [
+        sample_viral_load(DEFAULT_GMM, rng, min(_BLOCK, size - start), categories)
+        for start in range(0, size, _BLOCK)
+    ]
     w, mu, sd = DEFAULT_GMM.as_arrays()
     comp = ref.choice(len(w), size=size, p=w)
     expected = np.power(10.0, ref.normal(mu[comp], sd[comp]))
@@ -137,17 +138,11 @@ def test_category_stream_blocks_equal_one_call(size, buffered):
 
 def test_category_stream_needs_pcg64_to_skip_ahead():
     # a bit generator whose outputs advance() does not count one per double
-    # would draw another stream, so it is refused; one block needs no skip
-    rng = np.random.Generator(np.random.MT19937(0))
-    assert category_stream(rng, _BLOCK) is rng
+    # would draw another stream, so it is refused at any size
     for bits in (np.random.MT19937(0), np.random.Philox(0)):
-        with pytest.raises(TypeError, match="PCG64"):
-            category_stream(np.random.Generator(bits), _BLOCK + 1)
-
-
-def test_components_must_match_the_size():
-    with pytest.raises(ValueError, match="one category per load"):
-        sample_viral_load(DEFAULT_GMM, np.random.default_rng(0), 5, components=np.zeros(4, dtype=np.uint8))
+        for size in (1, _BLOCK + 1):
+            with pytest.raises(TypeError, match="PCG64"):
+                category_stream(np.random.Generator(bits), size)
 
 
 def test_count_pmf_is_the_distribution_of_rounded_loads():
@@ -165,21 +160,6 @@ def test_count_pmf_is_the_distribution_of_rounded_loads():
     se = np.sqrt(pmf[:200] * (1 - pmf[:200]) / K.size)
     assert (np.abs(freq - pmf[:200]) <= 5 * se + 1e-6).all()
     assert abs((K >= size).mean() - above) < 5 * np.sqrt(above / K.size)
-
-
-def test_draws_hold_little_beyond_the_loads_returned():
-    # the loads (8 bytes each) and block-sized scratch, each block's
-    # categories included: about 9.7 bytes per load at 10**6 draws (10.1
-    # when the one-byte categories of every load were drawn at once)
-    size = 10**6
-    rng = np.random.default_rng(5)
-    tracemalloc.start()
-    try:
-        sample_viral_load(DEFAULT_GMM, rng, size)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / size < 11.1
 
 
 @pytest.fixture(scope="module")
