@@ -8,10 +8,12 @@ from the CORRPOOL_WORKERS environment variable.
 
 calibrate and delta-bound check every target and cell first and then make one
 calibrate_tau call, so one draw of calibration loads serves every target of
-the command. Each delta-bound cell then estimates delta' on its own copy of
-the generator as calibration left it, so a --full-table cell equals the same
-cell run alone. --full-table runs every cell of the table, so it refuses an
-explicit --n or --beta-bar rather than ignore it.
+the command. calibrate takes no draw count: it draws as a scenario run does,
+on the same stream, so it prints the tau that simulate runs at. Each
+delta-bound cell then estimates delta' on its own copy of the generator as
+calibration left it, so a --full-table cell equals the same cell run alone.
+--full-table runs every cell of the table, so it refuses an explicit --n or
+--beta-bar rather than ignore it.
 """
 
 import argparse
@@ -133,8 +135,8 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError("--beta-bar needs at least one target")
     _check_seed(args.seed)
     for target in targets:
-        check_calibration(target, args.draws)
-    taus = calibrate_tau(targets, DEFAULT_GMM, calibration_rng(args.seed), draws=args.draws)
+        check_calibration(target)
+    taus = calibrate_tau(targets, DEFAULT_GMM, calibration_rng(args.seed))
     rows = []
     for target, tau in zip(targets, taus):
         rows.append({"target_beta_bar": target, "tau": tau})
@@ -281,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="calibrate detection threshold tau")
     p.add_argument("--beta-bar", required=True, help="comma-separated target FNRs")
-    p.add_argument("--draws", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_calibrate)

@@ -26,19 +26,20 @@ non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target. One
 call draws the infected loads once, block by block, into one array of 4-byte
 counts (each block's mixture categories come from a copy of the stream, see
-category_stream) and sorts it; each probe of the search, upward from tau = 1
-for each target, sums the rate over the distinct counts below that tau's
-certain count.
+category_stream) and sorts it; each target's search probes tau = 1, 2, 4, ...
+and then bisects (_first_reaching), and each probe sums the rate over the
+distinct counts below that tau's certain count.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
 threshold that the tail is exactly 1.0 in double precision; a Chernoff bound
-gives, per (p, tau), a count beyond which that is certain, and those elements
-skip the incomplete-beta evaluation without changing a bit of the result. The
-counts left between tau and that cutoff go through betainc once per element,
-so callers with many repeated counts pass each distinct count once:
-calibration sums its curve over the distinct counts, and the delta' estimator
-evaluates the distinct pooled counts of X.
+gives, per (p, tau), a count beyond which that is certain (found by the
+search that finds tau), and those elements skip the incomplete-beta
+evaluation without changing a bit of the result. The counts left between tau
+and that cutoff go through betainc once per element, so callers with many
+repeated counts pass each distinct count once: calibration sums its curve
+over the distinct counts, and the delta' estimator evaluates the distinct
+pooled counts of X.
 """
 
 import math
@@ -75,6 +76,25 @@ def capture_probability(pool_size=1):
 _CERTAIN_LOG_TAIL = 60.0 * math.log(2.0)
 
 
+def _first_reaching(f, target, lo, hi, cap=math.inf):
+    """Smallest integer x in (lo, cap] with f(x) >= target, for a non-decreasing
+    f with f(lo) < target and lo < hi: probes hi, 2 hi, 4 hi, ... (capped at
+    cap) until f reaches the target, then bisects the last bracket at
+    (lo + hi) // 2. Raises ValueError if hi exceeds cap or f(cap) misses."""
+    while hi > cap or f(hi) < target:
+        if hi >= cap:
+            raise ValueError(f"target {target} unreachable up to {cap}")
+        lo, hi = hi, min(2 * hi, cap)
+    # invariant: f(lo) < target <= f(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @lru_cache(maxsize=4096)
 def _certain_count(p: float, tau: int) -> float:
     """Smallest count K_c with P(Binomial(K, p) >= tau) == 1.0 exactly for all K >= K_c.
@@ -83,7 +103,8 @@ def _certain_count(p: float, tau: int) -> float:
     a = tau - 1 and D the Bernoulli relative entropy, holds for K > a/p, where
     its exponent K * D(a/K || p) increases with K; the cutoff is the first
     integer K at which the exponent reaches 60 ln 2. Returns inf (no shortcut)
-    when p is not in (0, 1).
+    when p is not in (0, 1) or the cutoff lies beyond 2**53, where doubles no
+    longer hold every integer.
     """
     if not 0.0 < p < 1.0:
         return math.inf
@@ -94,20 +115,11 @@ def _certain_count(p: float, tau: int) -> float:
         upper = (K - a) * (math.log1p(-a / K) - log_q)
         return upper if a == 0.0 else upper + a * (math.log(a / K) - math.log(p))
 
-    lo = max(float(tau), math.floor(a / p) + 1.0)  # exponent(lo) may fall short
-    if exponent(lo) >= _CERTAIN_LOG_TAIL:
-        return lo
-    hi = 2.0 * lo
-    while exponent(hi) < _CERTAIN_LOG_TAIL:
-        lo, hi = hi, 2.0 * hi
-    # invariant: exponent(lo) < _CERTAIN_LOG_TAIL <= exponent(hi)
-    while hi - lo > 1.0:
-        mid = math.floor((lo + hi) / 2.0)
-        if exponent(mid) >= _CERTAIN_LOG_TAIL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    start = max(float(tau), math.floor(a / p) + 1.0)  # exponent(start) may fall short
+    try:
+        return _first_reaching(exponent, _CERTAIN_LOG_TAIL, start - 1.0, start, cap=2.0**53)
+    except ValueError:
+        return math.inf
 
 
 def binomial_tail(counts, p, tau):
@@ -236,43 +248,6 @@ def check_calibration(beta_bar: float, draws: int = 10**6):
         raise ValueError("calibration needs at least 1e5 draws")
 
 
-def _smallest_tau(beta, target):
-    """Smallest integer tau in [1, _TAU_MAX] with beta(tau) >= target, for a
-    non-decreasing beta.
-
-    The search probes tau = 1, 2, 4, 8, ... up to _TAU_MAX until beta reaches
-    the target; it returns 1 if beta(1) does and raises ValueError if
-    beta(_TAU_MAX) misses it. It then narrows the bracket by safeguarded
-    interpolation: the next probe is the ceiling of the linear guess between
-    the bracket ends, clamped inside the bracket, and a probe that fails to
-    halve the bracket is followed by a bisection step.
-    """
-    # beta(0) = 0 < target: at tau = 0 every test is positive
-    lo, b_lo, hi, b_hi = 0, 0.0, 1, beta(1)
-    while b_hi < target:
-        if hi == _TAU_MAX:
-            raise ValueError(f"target FNR {target} unreachable with tau <= {_TAU_MAX}")
-        lo, b_lo = hi, b_hi
-        hi = min(2 * hi, _TAU_MAX)
-        b_hi = beta(hi)
-    # invariant: b_lo = beta(lo) < target <= beta(hi) = b_hi
-    bisect = False
-    while hi - lo > 1:
-        width = hi - lo
-        if bisect:
-            mid = (lo + hi) // 2
-        else:
-            guess = lo + (target - b_lo) * width / (b_hi - b_lo)
-            mid = min(max(math.ceil(guess), lo + 1), hi - 1)
-        b_mid = beta(mid)
-        if b_mid >= target:
-            hi, b_hi = mid, b_mid
-        else:
-            lo, b_lo = mid, b_mid
-        bisect = not bisect and 2 * (hi - lo) > width
-    return hi
-
-
 def _distinct_sorted(a):
     """np.unique(a, return_counts=True) of a sorted 1-d array, without sorting
     it again: a run of equal values starts where neighbours differ."""
@@ -332,9 +307,10 @@ def calibrate_tau(
     Every target is checked before anything is drawn. The estimate
     beta_bar(tau), the mean of 1 - P(positive | V) over `draws` infected viral
     loads, uses one set of draws for every target and tau, so it is monotone
-    in tau, each search is exact and the result deterministic given the rng
-    seed. Every target searches the same curve (see _fnr_curve), so it gets
-    the tau of a call of its own on the same rng state.
+    in tau, each search (_first_reaching over [1, _TAU_MAX]) is exact and the
+    result deterministic given the rng seed. Every target searches the same
+    curve (see _fnr_curve), so it gets the tau of a call of its own on the
+    same rng state.
 
     The counts come from _draw_counts and are sorted in place, so no float
     array of every load exists. The cap on them changes no tau: every count a
@@ -346,4 +322,5 @@ def calibrate_tau(
     K = _draw_counts(gmm, rng, draws)
     K.sort()
     beta_bar = _fnr_curve(K, float(capture_probability(1)))
-    return [_smallest_tau(beta_bar, target) for target in targets]
+    # beta_bar(0) = 0 < target: at tau = 0 every test is positive
+    return [_first_reaching(beta_bar, target, 0, 1, _TAU_MAX) for target in targets]

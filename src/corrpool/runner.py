@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -103,6 +104,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if self.pool_size > self.population_size:
+            raise ConfigError(f"pool_size {self.pool_size} exceeds population_size {self.population_size}")
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if not isinstance(self.pad_last_pool, bool):
@@ -295,9 +298,11 @@ def run_replications(config: ScenarioConfig, cells, tau: int) -> list[dict[str, 
 
     With CORRPOOL_WORKERS > 1 one process pool runs them, a task being one
     replication of every cell. Results come back in replication order and are
-    split per cell, so output is identical for any worker count. The heap is
-    trimmed just before the pool is created, because a forked child inherits
-    every mapped page of the parent, freed calibration memory included.
+    split per cell, so output is identical for any worker count. The pool
+    forks its workers by name, not by the platform's default start method,
+    and the heap is trimmed just before the pool is created, because a forked
+    child inherits every mapped page of the parent, freed calibration memory
+    included.
     """
     workers = worker_count()
     one = partial(_replication_tallies, config, cells, tau)
@@ -306,7 +311,8 @@ def run_replications(config: ScenarioConfig, cells, tau: int) -> list[dict[str, 
         rows = list(map(one, reps))
     else:
         _trim_heap()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
             rows = list(pool.map(one, reps, chunksize=math.ceil(len(reps) / workers)))
 
     # columns S, D, pooled, followup

@@ -1,6 +1,7 @@
 """Tests for the PCR sensitivity models and threshold calibration."""
 
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -423,10 +424,10 @@ def test_golden_tau():
     assert calibrate_tau([0.05], DEFAULT_GMM, np.random.default_rng(0)) == [175]
 
 
-def test_smallest_tau_on_a_step_curve():
+def test_first_reaching_on_a_step_curve():
     # a monotone step curve: the search from tau = 1 ends at the first tau at
     # which it reaches the target, up to the end of the range
-    search = corrpool.pcr._smallest_tau
+    search = corrpool.pcr._first_reaching
     tau_max = corrpool.pcr._TAU_MAX
     for answer in (1, 2, 3, 175, 4096, 4097, 999_999, tau_max - 1, tau_max):
         probed = []
@@ -435,10 +436,55 @@ def test_smallest_tau_on_a_step_curve():
             probed.append(tau)
             return 0.5 + 0.1 * (tau >= answer) + 1e-9 * tau
 
-        assert search(beta, 0.6) == answer
+        assert search(beta, 0.6, 0, 1, tau_max) == answer
         assert probed[0] == 1 and all(1 <= tau <= tau_max for tau in probed)
     with pytest.raises(ValueError, match="unreachable"):
-        search(lambda tau: 0.0, 0.05)
+        search(lambda tau: 0.0, 0.05, 0, 1, tau_max)
+    # from a non-zero float lo the probes are hi, 2 hi, 4 hi, ... and then
+    # floored midpoints, all floats inside the bracket
+    for answer in (100.0, 101.0, 150.0, 199.0, 200.0, 201.0, 1234.0):
+        probed = []
+
+        def f(x):
+            probed.append(x)
+            return float(x >= answer)
+
+        assert search(f, 1.0, 99.0, 100.0) == answer
+        k = next(k for k in range(5) if 100.0 * 2**k >= answer)
+        assert probed[: k + 1] == [100.0 * 2**j for j in range(k + 1)]
+        assert all(isinstance(x, float) and 99.0 < x <= 100.0 * 2**k for x in probed)
+    with pytest.raises(ValueError, match="unreachable"):
+        search(lambda x: 0.0, 1.0, 99.0, 100.0, cap=500.0)
+
+
+_CERTAIN_PS = [0.05 / n for n in (1, 2, 3, 6, 12, 40, 1000)] + [0.5, 0.999, 1e-6]
+
+
+@pytest.mark.parametrize("p", _CERTAIN_PS)
+def test_certain_count_is_the_first_count_past_the_bound(p):
+    # K_c is the first count from start = max(tau, floor(a/p) + 1) whose
+    # Chernoff exponent reaches 60 ln 2
+    target = 60.0 * math.log(2.0)
+    for tau in [*range(1, 60), 174, 175, 1240, 28643, 10**5, 10**7]:
+        a = tau - 1.0
+
+        def exponent(K):
+            upper = (K - a) * (math.log1p(-a / K) - math.log1p(-p))
+            return upper if a == 0.0 else upper + a * (math.log(a / K) - math.log(p))
+
+        start = max(float(tau), math.floor(a / p) + 1.0)
+        cutoff = _certain_count(p, tau)
+        assert cutoff == int(cutoff) and cutoff >= start
+        assert exponent(cutoff) >= target
+        assert cutoff == start or exponent(cutoff - 1.0) < target
+
+
+def test_certain_count_returns_beyond_exact_doubles():
+    # past 2**53 a double no longer holds every count, so there is no
+    # shortcut and every count from tau on goes through betainc
+    for p, tau in ((0.05 / 6, 10**17), (5e-15, 176), (0.05 / 6, 5 * 10**15)):
+        assert _certain_count(p, tau) == math.inf
+    assert np.array_equal(binomial_tail([10.0], 0.05 / 6, 10**17), [0.0])
 
 
 def test_calibrate_tau_at_half_fnr_matches_bisection():

@@ -58,6 +58,9 @@ def test_config_validates_ranges():
         ScenarioConfig(q=-0.1)
     with pytest.raises(ConfigError):
         ScenarioConfig(pool_size=0)
+    with pytest.raises(ConfigError, match="pool_size 7 exceeds population_size 6"):
+        ScenarioConfig(pool_size=7, population_size=6)
+    assert ScenarioConfig(pool_size=6, population_size=6).pool_size == 6
     with pytest.raises(ConfigError):
         ScenarioConfig(tau=None, beta_bar=None)
     with pytest.raises(ConfigError, match=r"\(0, 0\.5\]"):
@@ -177,6 +180,22 @@ def test_one_worker_pool_per_command(monkeypatch, workers, pools):
     config = ScenarioConfig(**{**SMALL, "population_size": 60, "replications": 500})
     assert set(optimize_pool_size(config, [3, 6, 9])[1]) == {"naive", "correlated"}
     assert len(created) == 2 * pools
+
+
+def test_replication_pool_forks_its_workers(monkeypatch):
+    # named, not left to the platform default (forkserver on Linux from
+    # Python 3.14), so workers inherit the trimmed parent without pickling
+    contexts = []
+
+    class RecordingPool(corrpool.runner.ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            contexts.append(mp_context)
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(corrpool.runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    run_scenario(ScenarioConfig(**SMALL))
+    assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
 
 
 @pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 2)])
@@ -468,12 +487,14 @@ def test_cli_malformed_workers_env_fails_before_tau_calibration(monkeypatch, cap
         (["optimize", "--candidates", "2,4", "--replications", "500", "--b-i", "nan", "--b-r", "0.1"], 2),
         (["optimize", "--candidates", "2,4", "--replications", "500", "--b-i", "0.3", "--b-r", "inf"], 2),
         (["simulate", "--household-dist", "nan,0.5,0.5,0,0,0"], 2),
+        (["sweep", "--alphas", "0.01", "--pool-sizes", "6,61", "--output", os.devnull], 2),
+        (["optimize", "--candidates", "6,61", "--replications", "500"], 2),
     ],
     ids=[
         "sweep_alpha", "sweep_infeasible", "optimize_pool_size", "optimize_infeasible", "simulate_infeasible",
         "sweep_repeated_pool_size", "sweep_repeated_alpha", "optimize_b_i_alone", "optimize_b_r_alone",
         "optimize_b_i_negative", "optimize_b_r_negative", "optimize_b_i_nan", "optimize_b_r_inf",
-        "simulate_household_nan",
+        "simulate_household_nan", "sweep_pool_above_population", "optimize_pool_above_population",
     ],
 )
 def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
@@ -482,6 +503,18 @@ def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
 
     monkeypatch.setattr(corrpool.runner, "calibrate_tau", never_calibrate)
     assert main(argv + ["--beta-bar", "0.05", "--population-size", "60"]) == code
+
+
+def test_calibrate_has_no_draw_count_flag(capsys):
+    # calibrate draws as a scenario run does, so it has no --draws to differ by
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--beta-bar", "0.05", "--draws", "10"])
+    assert exc.value.code == 2 and "--draws" in capsys.readouterr().err
+
+
+# a pool of 10**13 would allocate per-pool lists in first-fit or, padded,
+# dilute to a capture probability of 5e-15
+_HUGE_POOL = ["simulate", "--pool-size", str(10**13), "--population-size", "600", "--tau", "176", "--replications", "2"]
 
 
 @pytest.mark.parametrize(
@@ -493,7 +526,6 @@ def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
         (["delta-bound", "--b", "10"], "B must"),
         (["delta-bound", "--beta-bar", "0.7"], "beta_bar"),
         (["calibrate", "--beta-bar", "0.05,0.7"], "beta_bar"),
-        (["calibrate", "--beta-bar", "0.05", "--draws", "10"], "draws"),
         (["calibrate", "--beta-bar", ",", "--output", os.devnull], "--beta-bar"),
         (["counterexample", "--grid", "-3", "--output", os.devnull], "--grid"),
         (["counterexample", "--grid", "0", "--output", os.devnull], "--grid"),
@@ -504,11 +536,14 @@ def test_bad_cell_fails_before_tau_calibration(monkeypatch, argv, code):
         (["delta-bound", "--seed", "-1"], "--seed"),
         (["delta-bound", "--full-table", "--n", "6"], "--n"),
         (["delta-bound", "--full-table", "--beta-bar", "0.05"], "--beta-bar"),
+        (_HUGE_POOL, "pool_size"),
+        (_HUGE_POOL + ["--pad-last-pool"], "pool_size"),
     ],
     ids=[
-        "reps_zero", "reps_negative", "n_one", "b_small", "delta_beta_bar", "calibrate_beta_bar", "draws",
+        "reps_zero", "reps_negative", "n_one", "b_small", "delta_beta_bar", "calibrate_beta_bar",
         "calibrate_no_target", "grid_negative", "grid_zero", "grid_one", "calibrate_seed_2_64",
         "calibrate_seed_negative", "delta_seed_2_64", "delta_seed_negative", "full_table_n", "full_table_beta_bar",
+        "pool_above_population", "padded_pool_above_population",
     ],
 )
 def test_bad_argument_fails_before_tau_calibration(monkeypatch, capsys, argv, named):
@@ -756,3 +791,16 @@ def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "corrpool", "--help"], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: corrpool")
+
+
+def test_simulate_at_a_tau_beyond_exact_doubles_returns():
+    # the certain count of tau = 10**17 lies past 2**53; the run must end
+    # (every count is below tau, so nothing is detected)
+    src = os.path.dirname(os.path.dirname(corrpool.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["simulate", "--tau", str(10**17), "--population-size", "600", "--replications", "2"]
+    done = subprocess.run(
+        [sys.executable, "-m", "corrpool", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"{s}: sensitivity=0 efficiency=6 fpr=0" for s in ("naive", "correlated")]
