@@ -4,7 +4,9 @@ Subcommands: simulate, sweep, calibrate, delta-bound, counterexample, sir,
 optimize. Scenario parameters come from an optional JSON config file; CLI
 flags override file values. Exit codes: 0 success, 2 configuration error,
 3 infeasible scenario. Worker count for replication-level parallelism comes
-from the CORRPOOL_WORKERS environment variable.
+from the CORRPOOL_WORKERS environment variable, by default the CPUs the
+process may run on. Every output path is checked before any work: a missing
+parent directory or a path that is a directory exits 2 naming the flag.
 
 calibrate and delta-bound check every target and cell first and then make one
 calibrate_tau call, so one draw of calibration loads serves every target of
@@ -19,6 +21,7 @@ calibration left it, so a --full-table cell equals the same cell run alone.
 import argparse
 import copy
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -62,6 +65,20 @@ def _check_seed(seed: int):
     """Raise ConfigError unless --seed is in the range master_seed accepts."""
     if not 0 <= seed < 2**64:
         raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def _check_outputs(args):
+    """Raise ConfigError, naming the flag, for an output path whose parent
+    directory does not exist or that is a directory, so that a run does not
+    fail at its end for want of a place to write."""
+    for flag in ("--output", "--output-json", "--output-csv"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
 
 
 def _scenario_args(sub: argparse.ArgumentParser):
@@ -328,6 +345,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -266,9 +266,15 @@ def _replication_tallies(config: ScenarioConfig, cells, tau: int, rep: int) -> l
 
 
 def worker_count() -> int:
-    """Worker processes from CORRPOOL_WORKERS, default 1; any value but an
-    integer of at least 1 is a ConfigError."""
-    value = os.environ.get(WORKERS_ENV, "1")
+    """Worker processes from CORRPOOL_WORKERS, by default the CPUs this
+    process may run on (its affinity mask where the platform has one, else
+    os.cpu_count()); any value but an integer of at least 1 is a
+    ConfigError."""
+    value = os.environ.get(WORKERS_ENV)
+    if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         workers = int(value)
     except ValueError:
@@ -296,13 +302,14 @@ def run_replications(config: ScenarioConfig, cells, tau: int) -> list[dict[str, 
     """Run all replications of every (alpha, pool size) cell of config at
     threshold tau, one tallies dict per cell.
 
-    With CORRPOOL_WORKERS > 1 one process pool runs them, a task being one
-    replication of every cell. Results come back in replication order and are
-    split per cell, so output is identical for any worker count. The pool
-    forks its workers by name, not by the platform's default start method,
-    and the heap is trimmed just before the pool is created, because a forked
-    child inherits every mapped page of the parent, freed calibration memory
-    included.
+    With more than one worker (CORRPOOL_WORKERS, by default the CPUs this
+    process may run on; see worker_count) one process pool runs them, a task
+    being one replication of every cell. Results come back in replication
+    order and are split per cell, so output is identical for any worker
+    count. The pool forks its workers by name, not by the platform's default
+    start method, and the heap is trimmed just before the pool is created,
+    because a forked child inherits every mapped page of the parent, freed
+    calibration memory included.
     """
     workers = worker_count()
     one = partial(_replication_tallies, config, cells, tau)

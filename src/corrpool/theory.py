@@ -8,18 +8,17 @@ the joint table and all test outcomes.
 delta-prime bound: delta' = (E[X]/E[Z]) * beta_bar/(1 - beta_bar), where
 X = p(pool of n loads drawn conditional on an individual-test miss) and
 Z = p(one load drawn conditional on an individual-test hit, diluted n-fold).
-Conditional loads come from rejection sampling; the confidence interval
-combines a normal interval for E[Z] with a bootstrap percentile interval for
-E[X] into a conservative ratio interval. The sampler screens out certain
-hits: a load at or above the individual test's certain count K_c, about nine
-in ten at beta_bar = 5%, is a hit without evaluating its tail, and the result
-is bit-identical to evaluating every tail (see _sample_conditional). A chunk
-of up to 4e6 loads draws its loads and accept uniforms in blocks of 2**16,
-each block's mixture categories from a copy of the stream that the loads
-skip ahead of (see category_stream), keeping only the loads the pass can
-return. The miss pass sums each pool of n accepted loads as it accepts them,
-so it returns B sums, not n*B loads, and X's tails are evaluated once per
-distinct rounded sum, found by one argsort, not np.unique.
+Conditional loads come from one rejection sampler for both passes (see
+_sample_conditional): a chunk of up to 4e6 loads is drawn in blocks of
+2**16, keeping only the loads the pass can return, and a load is a hit iff
+its accept uniform lies below the tail of min(rint(v), K_c). The tail at the
+individual test's certain count K_c is exactly 1.0, so a load at or above
+it, about nine in ten at beta_bar = 5%, is a hit without evaluating its own
+tail, bit-identically. The miss pass sums each pool of n accepted loads as
+it accepts them, so it returns B sums, not n*B loads, and X's tails are
+evaluated once per distinct rounded sum, found by one argsort. The
+confidence interval combines a normal interval for E[Z] with a bootstrap
+percentile interval for E[X] into a conservative ratio interval.
 The bootstrap of E[X] is a two-stage pipeline (see _bootstrap_means): the
 calling thread draws every replicate's indices, in replicate order, while one
 helper thread gathers and averages the previous replicate's resample, so the
@@ -131,62 +130,6 @@ class DeltaPrimeEstimate:
     ci_reliable: bool = True
 
 
-def _candidates(gmm, categories, size, keep_missed, certain, rng, limit):
-    """Draw the chunk's `size` loads _BLOCK at a time, each block's mixture
-    categories from the generator `categories` (see category_stream), and
-    keep per block the loads the pass can return.
-
-    The miss pass keeps (loads, offsets in the block) of the loads under the
-    certain count; the hit pass keeps every load up to the limit-th load at or
-    above it, a sure hit, since the limit-th hit cannot come later.
-    """
-    kept = []
-    sure = 0
-    for start in range(0, size, _BLOCK):
-        v = sample_viral_load(gmm, rng, min(_BLOCK, size - start), categories)
-        if keep_missed:
-            low = np.flatnonzero(v < certain)
-            kept.append((v[low], low.astype(np.min_scalar_type(_BLOCK - 1))))
-        elif sure < limit:
-            high = np.count_nonzero(v >= certain)
-            if sure + high >= limit:
-                v = v[: np.flatnonzero(v >= certain)[limit - sure - 1] + 1]
-            sure += high
-            kept.append((v, None))
-    return kept
-
-
-def _accept(kept, keep_missed, tails, certain, rng, buf, size, needed, group, out, filled, carry):
-    """Sum the chunk's accepted loads, in order, into pools of `group` written
-    to out until `needed` loads are accepted, drawing one uniform per chunk
-    load into buf, buf.size at a time: the same doubles in the same stream
-    order as one rng.random(size). A block looks up the tails of its loads
-    under the certain count in `tails`, indexed by rint(v). `filled` counts
-    the loads accepted so far, the last filled % group of them held in
-    `carry`; each block's complete pools are summed by the row sums of one
-    reshape, the bits of reshaping all the loads at once. Returns the new
-    fill and carry."""
-    for i, start in enumerate(range(0, size, buf.size)):
-        u = buf[: size - start]
-        rng.random(out=u)
-        if i >= len(kept) or filled == needed:
-            continue
-        v, low = kept[i]
-        kept[i] = None
-        if keep_missed:
-            v = v[u[low] >= tails[np.rint(v).astype(np.intp)]]
-        else:
-            low = np.flatnonzero(v < certain)
-            v = np.delete(v, low[u[low] >= tails[np.rint(v[low]).astype(np.intp)]])
-        v = np.concatenate((carry, v[: needed - filled]))
-        pools = filled // group
-        filled += v.size - carry.size
-        m = v.size // group
-        out[pools : pools + m] = v[: m * group].reshape(m, group).sum(axis=1)
-        carry = v[m * group :].copy()
-    return filled, carry
-
-
 def _sample_conditional(
     gmm: GmmParams,
     tau: int,
@@ -200,21 +143,26 @@ def _sample_conditional(
     hitting, via rejection sampling of (V, W) pairs, summed in pools of
     `group` consecutive loads as they are accepted.
 
-    A load at or above the certain count K_c of the individual test is a hit
-    without evaluating its tail: K_c is an integer, so rint(v) >= K_c, the
-    tail is exactly 1.0 and every uniform lies below it. The tails of the
-    counts 0..K_c are evaluated once per pass; binomial_tail gives each count
-    the same bits alone or in an array. A chunk draws its loads block by
-    block, each block's categories from category_stream(rng, chunk), keeping
-    only the loads the pass can return (see _candidates), then draws its
-    accept uniforms block by block; it never holds a chunk-sized array of
-    categories, loads, normals or uniforms. The result is an owned array of
-    at most needed // group sums, one per complete pool of the first
-    `needed` accepted loads; a pool left short by max_draws is dropped. The
-    kept loads and the stream position are those of drawing the chunk's
-    loads and uniforms at once and evaluating every load's tail, and each sum
-    has the bits of reshaping those loads into rows of `group` and summing
-    the rows.
+    A load is a hit iff its uniform lies below tails[min(rint(v), K_c)], the
+    tails of the counts 0..K_c evaluated once per pass; binomial_tail gives
+    each count the same bits alone or in an array, and the tail at the
+    certain count K_c, an integer, is exactly 1.0, so a load at or above it
+    is a hit. A chunk draws its loads block by block, each block's
+    categories from category_stream(rng, chunk), keeping per block only the
+    loads the pass can return: the miss pass those under K_c, with their
+    offsets in the block; the hit pass every load up to the sure hit that
+    completes its quota, since no later load can be needed. It then draws
+    one uniform per load, block by block, and tests the kept loads; it never
+    holds a chunk-sized array of categories, loads, normals or uniforms.
+    Each block's complete pools are summed by the row sums of one reshape,
+    the last filled % group accepted loads carried to the next block.
+
+    The result is an owned array of at most needed // group sums, one per
+    complete pool of the first `needed` accepted loads; a pool left short by
+    max_draws is dropped. The accepted loads and the stream position are
+    those of drawing the chunk's loads and uniforms at once and evaluating
+    every load's tail, and each sum has the bits of reshaping those loads
+    into rows of `group` and summing the rows.
     """
     p_ind = float(capture_probability(1))
     certain = _certain_count(p_ind, tau)
@@ -224,13 +172,35 @@ def _sample_conditional(
     carry = np.empty(0)
     drawn = 0
     chunk = max(min(needed * 4, 4_000_000), 100_000)
-    buf = np.empty(_BLOCK)
     while filled < needed and drawn < max_draws:
         categories = category_stream(rng, chunk)
-        kept = _candidates(gmm, categories, chunk, keep_missed, certain, rng, needed - filled)
-        filled, carry = _accept(
-            kept, keep_missed, tails, certain, rng, buf, chunk, needed, group, out, filled, carry
-        )
+        blocks = range(0, chunk, _BLOCK)
+        kept = []
+        sure = 0
+        quota = needed - filled
+        for start in blocks:
+            v = sample_viral_load(gmm, rng, min(_BLOCK, chunk - start), categories)
+            if keep_missed:
+                low = np.flatnonzero(v < certain)
+                kept.append((v[low], low.astype(np.min_scalar_type(_BLOCK - 1))))
+            elif sure < quota:
+                high = np.flatnonzero(v >= certain)
+                if sure + high.size >= quota:
+                    v = v[: high[quota - sure - 1] + 1]
+                sure += high.size
+                kept.append((v, slice(v.size)))
+        for start in blocks:
+            u = rng.random(min(_BLOCK, chunk - start))
+            if not kept or filled == needed:
+                continue
+            v, offsets = kept.pop(0)
+            hit = u[offsets] < tails[np.minimum(np.rint(v), certain).astype(np.intp)]
+            v = np.concatenate((carry, v[~hit if keep_missed else hit][: needed - filled]))
+            pools = filled // group
+            filled += v.size - carry.size
+            m = v.size // group
+            out[pools : pools + m] = v[: m * group].reshape(m, group).sum(axis=1)
+            carry = v[m * group :].copy()
         drawn += chunk
     pools = filled // group
     return out if pools == out.size else out[:pools].copy()

@@ -426,9 +426,23 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["simulate", "--alpha", "2.0", "--replications", "1"]) == 2
 
 
-def test_worker_count_parses_env(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
+def test_worker_count_defaults_to_the_cpus_the_process_may_run_on(monkeypatch):
+    # counted only: no pool is started
+    monkeypatch.delenv(WORKERS_ENV)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert worker_count() == 3
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    assert worker_count() == 2
+    # without an affinity mask the CPU count, or 1 when it is unknown
+    monkeypatch.delenv(WORKERS_ENV)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count() == 1
+
+
+def test_worker_count_parses_env(monkeypatch):
     for value, expected in (("1", 1), ("3", 3)):
         monkeypatch.setenv(WORKERS_ENV, value)
         assert worker_count() == expected
@@ -447,6 +461,37 @@ def test_cli_malformed_workers_env_exits_2(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert WORKERS_ENV in err and repr(value) in err
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--output-json"], "--output-json"),
+        (["simulate", "--output-csv"], "--output-csv"),
+        (["sweep", "--alphas", "0.01", "--pool-sizes", "6", "--output"], "--output"),
+        (["calibrate", "--beta-bar", "0.05", "--output"], "--output"),
+        (["delta-bound", "--output"], "--output"),
+        (["counterexample", "--output"], "--output"),
+        (["sir", "--b-i", "0.3", "--b-r", "0.1", "--sensitivity", "0.9", "--output"], "--output"),
+        (["optimize", "--candidates", "4,6", "--output-json"], "--output-json"),
+    ],
+    ids=[
+        "simulate_json", "simulate_csv", "sweep", "calibrate", "delta_bound", "counterexample", "sir", "optimize",
+    ],
+)
+def test_unwritable_output_path_fails_before_any_work(monkeypatch, capsys, tmp_path, argv, flag, where):
+    def never_calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_tau called before the output paths were checked")
+
+    monkeypatch.setattr(corrpool.cli, "calibrate_tau", never_calibrate)
+    monkeypatch.setattr(corrpool.runner, "calibrate_tau", never_calibrate)
+    path = tmp_path / "missing" / "out" if where == "missing_directory" else tmp_path
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {flag} {path}")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

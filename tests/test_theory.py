@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import corrpool.theory
-from corrpool.pcr import binomial_tail, calibrate_tau, capture_probability
+from corrpool.pcr import _certain_count, binomial_tail, calibrate_tau, capture_probability
 from corrpool.theory import (
     _bootstrap_means,
     _sample_conditional,
@@ -132,21 +132,40 @@ def _sample_conditional_full_evaluation(gmm, tau, needed, keep_missed, rng, max_
     return np.concatenate(kept)[:needed]
 
 
+def _quota_ending_on_a_sure_hit(tau, block, offset, rng):
+    # the quota whose last hit is a sure hit at `offset` in a block after the
+    # first, with no hit under K_c before it in the chunk: the load that the
+    # hit pass keeps last is then the last one it returns
+    p_ind = float(capture_probability(1))
+    v = sample_viral_load(DEFAULT_GMM, rng, size=100_000)
+    hit = rng.random(v.size) < binomial_tail(np.rint(v), p_ind, tau)
+    sure = v >= _certain_count(p_ind, tau)
+    i = np.arange(v.size)
+    last = np.flatnonzero(sure & (np.cumsum(hit & ~sure) == 0) & (i % block == offset) & (i >= block))[0]
+    return int(sure[: last + 1].sum())
+
+
 @pytest.mark.parametrize("keep_missed", [True, False], ids=["missed", "hit"])
 @pytest.mark.parametrize(
-    "tau, needed, max_draws, block",
+    "tau, needed, max_draws, block, seed",
     [
-        pytest.param(174, 30_000, 10**9, corrpool.theory._BLOCK, id="174-30000-1000000000"),
-        pytest.param(1241, 10**5, 10**5, corrpool.theory._BLOCK, id="1241-100000-100000"),
+        pytest.param(174, 30_000, 10**9, corrpool.theory._BLOCK, 9, id="174-30000-1000000000"),
+        pytest.param(1241, 10**5, 10**5, corrpool.theory._BLOCK, 9, id="1241-100000-100000"),
         # 120,000-load chunks: whole blocks, a short last block, one short block
-        pytest.param(174, 30_000, 10**9, 30_000, id="174-30000-1000000000-exact_blocks"),
-        pytest.param(174, 30_000, 10**9, 1007, id="174-30000-1000000000-ragged_blocks"),
-        pytest.param(174, 30_000, 10**9, 2**17, id="174-30000-1000000000-one_short_block"),
+        pytest.param(174, 30_000, 10**9, 30_000, 9, id="174-30000-1000000000-exact_blocks"),
+        pytest.param(174, 30_000, 10**9, 1007, 9, id="174-30000-1000000000-ragged_blocks"),
+        pytest.param(174, 30_000, 10**9, 2**17, 9, id="174-30000-1000000000-one_short_block"),
+        # the hit pass's quota completes on a sure hit first or last in its
+        # block (see _quota_ending_on_a_sure_hit)
+        pytest.param(174, ("sure hit at offset", 0), 10**9, 16, 0, id="174-sure_hit_first_in_block"),
+        pytest.param(174, ("sure hit at offset", 15), 10**9, 16, 0, id="174-sure_hit_last_in_block"),
     ],
 )
-def test_sample_conditional_equals_full_evaluation(monkeypatch, keep_missed, tau, needed, max_draws, block):
+def test_sample_conditional_equals_full_evaluation(monkeypatch, keep_missed, tau, needed, max_draws, block, seed):
     monkeypatch.setattr(corrpool.theory, "_BLOCK", block)
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(seed)
+    if isinstance(needed, tuple):
+        needed = _quota_ending_on_a_sure_hit(tau, block, needed[1], copy.deepcopy(rng))
     ref = copy.deepcopy(rng)
     got = _sample_conditional(DEFAULT_GMM, tau, needed, keep_missed, rng, max_draws)
     expected = _sample_conditional_full_evaluation(DEFAULT_GMM, tau, needed, keep_missed, ref, max_draws)
