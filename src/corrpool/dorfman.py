@@ -73,7 +73,7 @@ def run_dorfman(
     inf_idx = np.flatnonzero(population.infected)
     inf_pool = pool_of[inf_idx]
     inf_load = V[inf_idx]
-    pool_size = np.bincount(pool_of, minlength=P)
+    pool_size = assignment.pool_sizes()
     pool_load = np.bincount(inf_pool, weights=inf_load, minlength=P)
     s_count = np.bincount(inf_pool, minlength=P)
 

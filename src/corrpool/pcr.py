@@ -24,11 +24,11 @@ total_load / pool_size, and their draws compare one uniform per test with it.
 All variants satisfy p(0) = 0 (no intrinsic false positives) and are monotone
 non-decreasing in v. The module also calibrates tau so that the mean
 individual-test false-negative rate over infected loads hits a target. One
-call draws the infected loads once, block by block, into one array of 4-byte
-counts (each block's mixture categories come from a copy of the stream, see
-category_stream) and sorts it; each target's search probes tau = 1, 2, 4, ...
-and then bisects (_first_reaching), and each probe sums the rate over the
-distinct counts below that tau's certain count.
+call draws a fixed _DRAWS = 10**6 infected loads, block by block, into one
+array of 4-byte counts (each block's mixture categories come from a copy of
+the stream, see category_stream) and sorts it; each target's search probes
+tau = 1, 2, 4, ... and then bisects (_first_reaching), and each probe sums the
+rate over the distinct counts below that tau's certain count.
 
 The binomial tail P(Binomial(K, p) >= tau) is the hot kernel of calibration,
 the delta' sampler and pooled-test draws. Most loads sit so far above the
@@ -54,6 +54,8 @@ from .viral import GmmParams, category_stream, sample_viral_load
 _SURE_POSITIVE = 1.0 - 1e-12
 # Upper end of calibrate_tau's search range.
 _TAU_MAX = 10**7
+# Infected loads calibrate_tau draws per call.
+_DRAWS = 10**6
 # calibrate_tau's counts are uint32: a larger count is stored as this cap.
 _COUNT_MAX = np.iinfo(np.uint32).max
 # Loads per block of calibration's and the delta' sampler's draws: 512 KB of doubles.
@@ -240,12 +242,11 @@ class PiecewiseSensitivity(_MeanLoadSensitivity):
         )
 
 
-def check_calibration(beta_bar: float, draws: int = 10**6):
-    """Raise ValueError unless calibrate_tau accepts this target FNR and draw count."""
+def check_calibration(beta_bar: float):
+    """Raise ValueError unless calibrate_tau accepts this target FNR; the
+    draw count is fixed at _DRAWS = 10**6 loads."""
     if not 0 < beta_bar <= 0.5:
         raise ValueError(f"beta_bar must be in (0, 0.5], got {beta_bar!r}")
-    if draws < 10**5:
-        raise ValueError("calibration needs at least 1e5 draws")
 
 
 def _distinct_sorted(a):
@@ -295,22 +296,17 @@ def _draw_counts(gmm, rng, draws):
     return K
 
 
-def calibrate_tau(
-    targets,
-    gmm: GmmParams,
-    rng: np.random.Generator,
-    draws: int = 10**6,
-) -> list[int]:
+def calibrate_tau(targets, gmm: GmmParams, rng: np.random.Generator) -> list[int]:
     """For each target, the smallest integer tau whose estimated individual-test
     FNR reaches it.
 
     Every target is checked before anything is drawn. The estimate
-    beta_bar(tau), the mean of 1 - P(positive | V) over `draws` infected viral
-    loads, uses one set of draws for every target and tau, so it is monotone
-    in tau, each search (_first_reaching over [1, _TAU_MAX]) is exact and the
-    result deterministic given the rng seed. Every target searches the same
-    curve (see _fnr_curve), so it gets the tau of a call of its own on the
-    same rng state.
+    beta_bar(tau), the mean of 1 - P(positive | V) over _DRAWS = 10**6
+    infected viral loads (read at call time), uses one set of draws for every
+    target and tau, so it is monotone in tau, each search (_first_reaching
+    over [1, _TAU_MAX]) is exact and the result deterministic given the rng
+    seed. Every target searches the same curve (see _fnr_curve), so it gets
+    the tau of a call of its own on the same rng state.
 
     The counts come from _draw_counts and are sorted in place, so no float
     array of every load exists. The cap on them changes no tau: every count a
@@ -318,8 +314,8 @@ def calibrate_tau(
     cap, so a capped count stays a sure hit.
     """
     for target in targets:
-        check_calibration(target, draws)
-    K = _draw_counts(gmm, rng, draws)
+        check_calibration(target)
+    K = _draw_counts(gmm, rng, _DRAWS)
     K.sort()
     beta_bar = _fnr_curve(K, float(capture_probability(1)))
     # beta_bar(0) = 0 < target: at tau = 0 every test is positive

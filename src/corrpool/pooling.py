@@ -30,28 +30,26 @@ from .population import Population
 class PoolingAssignment:
     """Partition of person indices into pools.
 
-    pool_of[i] is the pool index of person i; all pools have size <= n and the
-    number of pools is ceil(N / n).
+    pool_of[i] is the pool index of person i; all pools have size <= n. The
+    number of pools is derived, not stored: ceil(N / n) for N = pool_of.size.
     """
 
     pool_of: np.ndarray
     n: int
-    num_pools: int
     split_households: int = 0
+
+    @property
+    def num_pools(self) -> int:
+        return -(-self.pool_of.size // self.n)
 
     def pool_sizes(self) -> np.ndarray:
         return np.bincount(self.pool_of, minlength=self.num_pools)
 
     def validate(self):
-        sizes = self.pool_sizes()
         if self.pool_of.min() < 0 or self.pool_of.max() >= self.num_pools:
             raise AssertionError("pool index out of range")
-        if sizes.sum() != self.pool_of.size:
-            raise AssertionError("assignment does not cover the population")
-        if sizes.max() > self.n:
+        if self.pool_sizes().max() > self.n:
             raise AssertionError("pool exceeds capacity")
-        if self.num_pools != -(-self.pool_of.size // self.n):
-            raise AssertionError("wrong number of pools")
 
 
 def assign_naive(N: int, n: int, rng: np.random.Generator) -> PoolingAssignment:
@@ -61,7 +59,7 @@ def assign_naive(N: int, n: int, rng: np.random.Generator) -> PoolingAssignment:
     perm = rng.permutation(N)
     pool_of = np.empty(N, dtype=np.int64)
     pool_of[perm] = np.arange(N) // n
-    return PoolingAssignment(pool_of, n, -(-N // n))
+    return PoolingAssignment(pool_of, n)
 
 
 def assign_correlated(population: Population, n: int, rng: np.random.Generator) -> PoolingAssignment:
@@ -90,7 +88,7 @@ def assign_correlated(population: Population, n: int, rng: np.random.Generator) 
         before = np.cumsum(split_sizes) - split_sizes
         shift = np.repeat(population.household_starts()[split] - before, split_sizes)
         pool_of[shift + np.arange(shift.size)] = split_pools
-    return PoolingAssignment(pool_of, n, -(-pool_of.size // n), split_households=split_visits.size)
+    return PoolingAssignment(pool_of, n, split_households=split_visits.size)
 
 
 def _first_fit_loop(visit_sizes: np.ndarray, n: int):

@@ -28,6 +28,7 @@ delta_prime_quadrature computes the same delta' exactly over integer counts;
 it is the sampler's oracle and is not wired into the CLI.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -162,10 +163,13 @@ def _sample_conditional(
     max_draws is dropped. The accepted loads and the stream position are
     those of drawing the chunk's loads and uniforms at once and evaluating
     every load's tail, and each sum has the bits of reshaping those loads
-    into rows of `group` and summing the rows.
+    into rows of `group` and summing the rows. A tau whose K_c lies beyond
+    2**53 (see _certain_count) raises ValueError before anything is drawn.
     """
     p_ind = float(capture_probability(1))
     certain = _certain_count(p_ind, tau)
+    if math.isinf(certain):
+        raise ValueError(f"tau = {tau} is too large: its certain count lies beyond 2**53")
     tails = binomial_tail(np.arange(int(certain) + 1), p_ind, tau)
     out = np.empty(needed // group)
     filled = 0
@@ -218,13 +222,17 @@ def delta_prime_quadrature(n: int, beta_bar: float, tau: int, gmm: GmmParams) ->
     below the pooled test's certain count, with M the mass at or above it.
     The sampler rounds the sum of n loads where this sums n rounded counts.
     The FFT's round-off, about 1e-16 of the convolution's peak, bounds the
-    E[X] that it can resolve.
+    E[X] that it can resolve. A tau whose pooled certain count lies beyond
+    2**53 raises ValueError.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     p_ind = float(capture_probability(1))
     p_pool = float(capture_probability(n))
-    counts = np.arange(int(_certain_count(p_pool, tau)))
+    certain = _certain_count(p_pool, tau)
+    if math.isinf(certain):
+        raise ValueError(f"tau = {tau} is too large: its certain count lies beyond 2**53")
+    counts = np.arange(int(certain))
     pmf, above = count_pmf(gmm, counts.size)
     t_ind = binomial_tail(counts, p_ind, tau)
     hit = pmf * t_ind

@@ -311,13 +311,13 @@ def test_calibrate_tau_evaluates_tails_on_distinct_counts_only(monkeypatch):
     assert sizes and max(sizes) < 10**5
 
 
-def test_calibrate_tau_targets_in_any_order():
+def test_calibrate_tau_targets_in_any_order(monkeypatch):
     # every target gets the tau of a call of its own on the same stream,
     # whatever the targets before it probed
-    draws = 10**5
-    alone = {b: calibrate_tau([b], DEFAULT_GMM, _runner_stream(0), draws=draws)[0] for b in (0.05, 0.5)}
+    monkeypatch.setattr(corrpool.pcr, "_DRAWS", 10**5)
+    alone = {b: calibrate_tau([b], DEFAULT_GMM, _runner_stream(0))[0] for b in (0.05, 0.5)}
     for targets in ([0.5, 0.05], [0.05, 0.5]):
-        got = calibrate_tau(targets, DEFAULT_GMM, _runner_stream(0), draws=draws)
+        got = calibrate_tau(targets, DEFAULT_GMM, _runner_stream(0))
         assert got == [alone[b] for b in targets]
 
 
@@ -341,24 +341,26 @@ def test_calibration_holds_little_beyond_its_counts():
     # categories included: about 6.2 bytes per draw (7.1 when the one-byte
     # categories of every draw were drawn at once, 16.0 with float loads
     # rounded into a second float array)
-    draws = 10**6
     for seed in (0, 1):
         tracemalloc.start()
         try:
-            calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(seed), draws=draws)
+            calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(seed))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / draws < 7.1
+        assert peak / corrpool.pcr._DRAWS < 7.1
 
 
-def test_calibration_draws_every_load_through_pcr_in_blocks(monkeypatch):
+@pytest.mark.parametrize("draws", [None, 2**16 + 3], ids=["default", "ragged_last_block"])
+def test_calibration_draws_every_load_through_pcr_in_blocks(monkeypatch, draws):
     # perfbench wraps corrpool.pcr.sample_viral_load to count calibration's
-    # draws; calibration must reach every load there, a block at a time
-    draws = 10**6
+    # draws; calibration must reach every load there, a block at a time,
+    # also when the last block is short
+    if draws is not None:
+        monkeypatch.setattr(corrpool.pcr, "_DRAWS", draws)
 
     def run():
-        return calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0), draws=draws)
+        return calibrate_tau([0.05], DEFAULT_GMM, _runner_stream(0))
 
     expected = run()
     sizes = []
@@ -371,7 +373,7 @@ def test_calibration_draws_every_load_through_pcr_in_blocks(monkeypatch):
     monkeypatch.setattr(corrpool.pcr, "sample_viral_load", counting_sampler)
     assert run() == expected
     assert max(sizes) <= corrpool.pcr._BLOCK
-    assert sum(sizes) == draws
+    assert sum(sizes) == corrpool.pcr._DRAWS
 
 
 # about 29% of its loads hold more than 2**32 copies
@@ -398,10 +400,11 @@ def test_fnr_curve_on_capped_uint32_counts_equals_float_counts():
             assert capped(tau) == exact(tau)
 
 
-def test_calibrate_tau_with_counts_above_the_cap_matches_bisection():
+def test_calibrate_tau_with_counts_above_the_cap_matches_bisection(monkeypatch):
     draws = 10**5
+    monkeypatch.setattr(corrpool.pcr, "_DRAWS", draws)
     targets = (0.05, 0.3, 0.5)
-    got = calibrate_tau(targets, _HIGH_GMM, _runner_stream(0), draws=draws)
+    got = calibrate_tau(targets, _HIGH_GMM, _runner_stream(0))
     assert got == [_bisection_tau(b, _runner_stream(0), draws, _HIGH_GMM)[0] for b in targets]
 
 
@@ -487,21 +490,23 @@ def test_certain_count_returns_beyond_exact_doubles():
     assert np.array_equal(binomial_tail([10.0], 0.05 / 6, 10**17), [0.0])
 
 
-def test_calibrate_tau_at_half_fnr_matches_bisection():
+def test_calibrate_tau_at_half_fnr_matches_bisection(monkeypatch):
     # at beta_bar = 0.5 tau is in the tens of thousands, so the probes reach
     # certain counts far above those of the common targets
+    monkeypatch.setattr(corrpool.pcr, "_DRAWS", 10**5)
     for seed in (0, 1):
         expected = _bisection_tau(0.5, _runner_stream(seed), draws=10**5)[0]
-        assert calibrate_tau([0.5], DEFAULT_GMM, _runner_stream(seed), draws=10**5) == [expected]
+        assert calibrate_tau([0.5], DEFAULT_GMM, _runner_stream(seed)) == [expected]
 
 
 def test_calibrate_tau_bracket_ends(monkeypatch):
+    monkeypatch.setattr(corrpool.pcr, "_DRAWS", 10**5)
     # nearly every load rounds to zero copies: already tau = 1 misses the target
     rng = np.random.default_rng(0)
-    assert calibrate_tau([0.05], GmmParams((1.0,), (-3.0,), (0.1,)), rng, draws=10**5) == [1]
+    assert calibrate_tau([0.05], GmmParams((1.0,), (-3.0,), (0.1,)), rng) == [1]
     # every load holds ~10**12 copies: no tau up to the search limit misses enough
     with pytest.raises(ValueError, match="unreachable"):
-        calibrate_tau([0.05], GmmParams((1.0,), (12.0,), (0.1,)), np.random.default_rng(0), draws=10**5)
+        calibrate_tau([0.05], GmmParams((1.0,), (12.0,), (0.1,)), np.random.default_rng(0))
     probed = []
     tail = corrpool.pcr.binomial_tail
 
@@ -510,7 +515,7 @@ def test_calibrate_tau_bracket_ends(monkeypatch):
         return tail(counts, p, tau)
 
     monkeypatch.setattr(corrpool.pcr, "binomial_tail", recording_tail)
-    (tau,) = calibrate_tau([0.05], DEFAULT_GMM, np.random.default_rng(0), draws=10**5)
+    (tau,) = calibrate_tau([0.05], DEFAULT_GMM, np.random.default_rng(0))
     assert probed[0] == 1 and max(probed) <= 2 * tau
 
 

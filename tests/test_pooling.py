@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrpool import pooling
-from corrpool.pooling import assign_correlated, assign_naive
+from corrpool.pooling import PoolingAssignment, assign_correlated, assign_naive
 from corrpool.population import HOUSEHOLD_DISTS, HouseholdDist, Population, generate_population
 
 US = HOUSEHOLD_DISTS["US"]
@@ -30,6 +30,23 @@ def test_naive_basic_partition():
     a = assign_naive(4, 2, rng)
     a.validate()
     assert a.num_pools == 2
+
+
+@pytest.mark.parametrize(
+    "pool_of, message",
+    [
+        ([0, -1, 1], "pool index out of range"),
+        ([0, 1, 2], "pool index out of range"),
+        ([0, 0, 0], "pool exceeds capacity"),
+    ],
+    ids=["negative_index", "index_past_the_last_pool", "over_capacity"],
+)
+def test_validate_names_each_fault(pool_of, message):
+    # three persons in pools of two: the pool count is derived, pools 0 and 1
+    a = PoolingAssignment(np.array(pool_of), 2)
+    assert a.num_pools == 2
+    with pytest.raises(AssertionError, match=message):
+        a.validate()
 
 
 def test_naive_share_probability_small_case():

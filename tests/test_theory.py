@@ -8,6 +8,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import corrpool.pcr
 import corrpool.theory
 from corrpool.pcr import _certain_count, binomial_tail, calibrate_tau, capture_probability
 from corrpool.theory import (
@@ -71,11 +72,12 @@ def test_counterexample_argument_validation():
         counterexample_enumerate(0.0, 0.9, 0.01)
 
 
-def test_delta_prime_smoke():
+def test_delta_prime_smoke(monkeypatch):
     # small-B smoke test; the acceptance suite pins the table values
+    monkeypatch.setattr(corrpool.pcr, "_DRAWS", 2 * 10**5)
     rng = np.random.default_rng(0)
     beta_bar = 0.05
-    (tau,) = calibrate_tau([beta_bar], DEFAULT_GMM, rng, draws=2 * 10**5)
+    (tau,) = calibrate_tau([beta_bar], DEFAULT_GMM, rng)
     threads = threading.active_count()
     est = estimate_delta_prime(
         6, beta_bar, tau, DEFAULT_GMM, B=10**5, bootstrap_reps=200, rng=rng
@@ -112,6 +114,20 @@ def test_delta_prime_rejects_bad_args():
         estimate_delta_prime(2, 0.05, 174, DEFAULT_GMM, B=10**5, bootstrap_reps=0, rng=rng)
     with pytest.raises(ValueError):
         delta_prime_quadrature(1, 0.05, 174, DEFAULT_GMM)
+
+
+def test_delta_prime_rejects_tau_past_exact_doubles(monkeypatch):
+    # past 2**53 there is no certain count (see _certain_count): both entry
+    # points name tau before any load is drawn
+    def never_sample(*args, **kwargs):
+        raise AssertionError("loads drawn for a tau past 2**53")
+
+    monkeypatch.setattr(corrpool.theory, "sample_viral_load", never_sample)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"tau = {10**17} is too large"):
+        estimate_delta_prime(6, 0.05, 10**17, DEFAULT_GMM, rng=rng)
+    with pytest.raises(ValueError, match=f"tau = {10**17} is too large"):
+        delta_prime_quadrature(6, 0.05, 10**17, DEFAULT_GMM)
 
 
 def _sample_conditional_full_evaluation(gmm, tau, needed, keep_missed, rng, max_draws):
