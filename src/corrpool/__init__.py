@@ -4,12 +4,12 @@ The package simulates two-stage (Dorfman) pooled testing of a household-structur
 population, compares random ("naive") pool assignment against household-aware
 ("correlated") assignment, and provides the supporting numerics: a Gaussian-mixture
 viral-load model, a binomial-subsampling PCR model with threshold calibration,
-closed-form counterexample checks, a follow-up-cost bound estimator, and an
+the closed-form size-2 counterexample, a follow-up-cost bound estimator, and an
 SIR screening-policy layer.
 """
 
 from .errors import ConfigError, InfeasibleScenarioError
-from .viral import GmmParams, DEFAULT_GMM, ct_to_log10_viral_load
+from .viral import GmmParams, DEFAULT_GMM
 from .pcr import (
     RealisticSensitivity,
     StepSensitivity,
@@ -23,15 +23,12 @@ from .metrics import summarize_replications, estimate_fpr
 from .theory import (
     CounterexampleResult,
     counterexample_closed_form,
-    counterexample_enumerate,
     DeltaPrimeEstimate,
     estimate_delta_prime,
 )
 from .sir import (
     SirState,
     sir_step,
-    growth_factor,
-    growth_factor_bound,
     critical_frequency,
     PolicyResult,
     optimize_pool_size,
@@ -44,7 +41,6 @@ __all__ = [
     "InfeasibleScenarioError",
     "GmmParams",
     "DEFAULT_GMM",
-    "ct_to_log10_viral_load",
     "RealisticSensitivity",
     "StepSensitivity",
     "PiecewiseSensitivity",
@@ -62,13 +58,10 @@ __all__ = [
     "estimate_fpr",
     "CounterexampleResult",
     "counterexample_closed_form",
-    "counterexample_enumerate",
     "DeltaPrimeEstimate",
     "estimate_delta_prime",
     "SirState",
     "sir_step",
-    "growth_factor",
-    "growth_factor_bound",
     "critical_frequency",
     "PolicyResult",
     "optimize_pool_size",

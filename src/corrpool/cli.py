@@ -46,7 +46,7 @@ from .sir import (
     optimize_pool_size,
     simulate_sir,
 )
-from .theory import check_delta_prime, counterexample_enumerate, estimate_delta_prime
+from .theory import check_delta_prime, counterexample_closed_form, estimate_delta_prime
 from .viral import DEFAULT_GMM
 
 _DELTA_TABLE_NS = (2, 4, 6, 12)
@@ -203,6 +203,7 @@ def _cmd_delta_bound(args) -> int:
         print(
             f"n={n} beta_bar={format_number(beta_bar)}: delta'={format_number(est.delta_prime_hat)} "
             f"CI=[{format_number(est.ci_low)}, {format_number(est.ci_high)}]"
+            + ("" if est.ci_reliable else " (interval unreliable)")
         )
     if args.output:
         write_csv(rows, args.output)
@@ -218,7 +219,7 @@ def _cmd_counterexample(args) -> int:
         for t2 in grid:
             if not t1 < t2:
                 continue
-            res = counterexample_enumerate(float(t1), float(t2), args.alpha)
+            res = counterexample_closed_form(float(t1), float(t2), args.alpha)
             rows.append(
                 {
                     "theta1": float(t1),

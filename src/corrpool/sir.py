@@ -68,22 +68,6 @@ def simulate_sir(
     return path
 
 
-def growth_factor(state: SirState, b_i: float, b_r: float, f: float, sensitivity: float) -> float:
-    """lambda(t): new cases per removed case at the current state."""
-    denom = b_r + f * sensitivity
-    if denom <= 0:
-        raise ValueError("b_R + f*sensitivity must be positive")
-    return b_i * state.s / denom
-
-
-def growth_factor_bound(b_i: float, b_r: float, f: float, sensitivity: float) -> float:
-    """lambda': time-invariant upper bound on lambda(t) (set S = 1)."""
-    denom = b_r + f * sensitivity
-    if denom <= 0:
-        raise ValueError("b_R + f*sensitivity must be positive")
-    return b_i / denom
-
-
 def critical_frequency(b_i: float, b_r: float, sensitivity: float) -> float:
     """Smallest screening frequency with lambda' <= 1; 0 if the epidemic dies naturally."""
     if sensitivity <= 0:

@@ -2,8 +2,8 @@
 
 Counterexample: pools of size 2 under a piecewise-constant sensitivity applied
 to the pool's mean load, with a joint viral-load table that correlates the two
-members. Closed-form metrics are checked against exhaustive enumeration over
-the joint table and all test outcomes.
+members, in closed form. The tests check it against an exhaustive enumeration
+over the joint table and all test outcomes (tests/oracles.py).
 
 delta-prime bound: delta' = (E[X]/E[Z]) * beta_bar/(1 - beta_bar), where
 X = p(pool of n loads drawn conditional on an individual-test miss) and
@@ -54,11 +54,11 @@ class CounterexampleResult:
     eff1: float
 
 
-def _validate_counterexample_args(theta1, theta2, alpha) -> PiecewiseSensitivity:
-    sens = PiecewiseSensitivity(theta1, theta2)
+def _validate_counterexample_args(theta1, theta2, alpha):
+    """Raise ValueError unless PiecewiseSensitivity accepts the thetas and 0 < alpha < 2/3."""
+    PiecewiseSensitivity(theta1, theta2)
     if not 0 < alpha < 2.0 / 3.0:
         raise ValueError("alpha must be in (0, 2/3) so the joint table is a distribution")
-    return sens
 
 
 def _eta_and_efficiency(e_y: float, beta: float, alpha: float) -> tuple[float, float]:
@@ -79,42 +79,6 @@ def counterexample_closed_form(theta1: float, theta2: float, alpha: float) -> Co
     ey1 = a * t1 + a * t2 / 2.0
     eta0, eff0 = _eta_and_efficiency(ey0, beta0, a)
     eta1, eff1 = _eta_and_efficiency(ey1, beta1, a)
-    return CounterexampleResult(beta0, beta1, ey0, ey1, eta0, eta1, eff0, eff1)
-
-
-def _enumerate_pool(joint, sens: PiecewiseSensitivity, alpha: float):
-    """Expectations over a size-2 pool: exhaustive sum over the joint load
-    table and every (pooled, individual, individual) outcome triple."""
-    e_y = 0.0
-    e_d = 0.0
-    e_fn = 0.0
-    for (v1, v2), prob in joint:
-        p_pool = sens.success_probability(v1 + v2, _POOL_SIZE)
-        p1 = sens.success_probability(v1)
-        p2 = sens.success_probability(v2)
-        for y in (0, 1):
-            py = p_pool if y else 1.0 - p_pool
-            for w1 in (0, 1):
-                pw1 = p1 if w1 else 1.0 - p1
-                for w2 in (0, 1):
-                    pw2 = p2 if w2 else 1.0 - p2
-                    p_out = prob * py * pw1 * pw2
-                    e_y += p_out * y
-                    e_d += p_out * y * (w1 + w2)
-                    e_fn += p_out * ((v1 > 0) * (1 - y * w1) + (v2 > 0) * (1 - y * w2))
-    beta = e_fn / (_POOL_SIZE * alpha)
-    return beta, e_y, *_eta_and_efficiency(e_y, beta, alpha)
-
-
-def counterexample_enumerate(theta1: float, theta2: float, alpha: float) -> CounterexampleResult:
-    """Independent oracle for the closed forms via exhaustive enumeration."""
-    sens = _validate_counterexample_args(theta1, theta2, alpha)
-    a = alpha
-    correlated = [((0, 0), 1.0 - 1.5 * a), ((0, 3), a / 2.0), ((3, 0), a / 2.0), ((2, 2), a / 2.0)]
-    marginal = [(0, 1.0 - a), (2, a / 2.0), (3, a / 2.0)]
-    naive = [((v1, v2), p1 * p2) for v1, p1 in marginal for v2, p2 in marginal]
-    beta0, ey0, eta0, eff0 = _enumerate_pool(naive, sens, a)
-    beta1, ey1, eta1, eff1 = _enumerate_pool(correlated, sens, a)
     return CounterexampleResult(beta0, beta1, ey0, ey1, eta0, eta1, eff0, eff1)
 
 

@@ -2,8 +2,7 @@
 
 Viral loads are drawn from a Gaussian mixture on log10 copies/mL and
 exponentiated once at population generation; downstream PCR math works in
-linear copies. Cycle-threshold (Ct) values convert to log10 viral load via an
-affine calibration curve.
+linear copies.
 """
 
 import copy
@@ -12,11 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-
-# log10 VL = CT_INTERCEPT + CT_SLOPE * Ct
-CT_INTERCEPT = 14.0 + np.log10(1.105)
-CT_SLOPE = -0.681 / np.log(10.0)
-
 
 @dataclass(frozen=True)
 class GmmParams:
@@ -58,6 +52,8 @@ class GmmParams:
         return ndtr(-z) @ w
 
 
+# the means are log10 VL at Ct 20.13, 29.41 and 34.81 under the calibration
+# curve log10 VL = 14 + log10(1.105) - 0.681 * Ct / ln(10)
 DEFAULT_GMM = GmmParams(
     weights=(0.33, 0.54, 0.13),
     mus=(8.09, 5.35, 3.75),
@@ -77,18 +73,6 @@ def count_pmf(params: GmmParams, size: int):
     cdf = np.concatenate(([0.0], params.cdf(edges)))
     sf = np.concatenate(([1.0], params.sf(edges)))
     return np.where(cdf[1:] <= 0.5, np.diff(cdf), -np.diff(sf)), float(sf[-1])
-
-
-def ct_to_log10_viral_load(ct):
-    """Convert a PCR cycle-threshold value to log10 viral load (copies/mL).
-
-    Affine calibration; strictly decreasing in Ct.
-    """
-    ct = np.asarray(ct, dtype=float)
-    if not np.all(np.isfinite(ct)):
-        raise ValueError("ct must be finite")
-    out = CT_INTERCEPT + CT_SLOPE * ct
-    return float(out) if out.ndim == 0 else out
 
 
 def sample_categories(weights, rng: np.random.Generator, size) -> np.ndarray:

@@ -26,8 +26,9 @@ from corrpool.runner import (
     write_summary_json,
 )
 from corrpool.sir import SirState, consumption_reduction, optimize_pool_size, sir_step
-from corrpool.theory import counterexample_closed_form, counterexample_enumerate, estimate_delta_prime
+from corrpool.theory import counterexample_closed_form, estimate_delta_prime
 from corrpool.viral import DEFAULT_GMM
+from oracles import counterexample_enumerate
 
 Z_95_ONE_SIDED = 1.6449  # one-sided 95% normal quantile
 N_POP = 12000

@@ -3,6 +3,7 @@
 import csv
 import ctypes
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from corrpool.runner import (
 from corrpool.sir import optimize_pool_size
 from corrpool.theory import estimate_delta_prime
 from corrpool.viral import DEFAULT_GMM
+from oracles import counterexample_enumerate
 
 SMALL = dict(
     alpha=0.05,
@@ -665,15 +667,17 @@ def test_delta_bound_full_table_rows_equal_cells_run_alone(monkeypatch, tmp_path
         assert cell.read_text().splitlines() == [header, row]
 
 
-def test_delta_bound_flags_an_interval_that_misses_its_estimate(tmp_path):
+def test_delta_bound_flags_an_interval_that_misses_its_estimate(tmp_path, capsys):
     # one bootstrap replicate gives an interval that lies beside the point
-    # estimate: the row must not call it reliable
+    # estimate: neither the row nor the printed line may call it reliable
     out = tmp_path / "cell.csv"
     argv = ["delta-bound", "--n", "2", "--b", "100000", "--bootstrap-reps", "1", "--seed", "0"]
     assert main(argv + ["--output", str(out)]) == 0
     (row,) = csv.DictReader(out.read_text().splitlines())
     assert not float(row["ci_low"]) <= float(row["delta_prime"]) <= float(row["ci_high"])
     assert row["ci_reliable"] == "False"
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.endswith(f"CI=[{row['ci_low']}, {row['ci_high']}] (interval unreliable)")
 
 
 def test_delta_bound_cell_keeps_its_bytes(tmp_path):
@@ -711,13 +715,32 @@ def test_cli_exit_code_infeasible():
     assert rc == 3
 
 
-def test_cli_counterexample(tmp_path):
-    out = tmp_path / "ce.csv"
-    rc = main(["counterexample", "--grid", "8", "--alpha", "0.01", "--output", str(out)])
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "theta1,theta2,eff_diff,eta_ratio"
-    assert len(lines) > 10
+def _prints(text: str, value: float, rel: float) -> bool:
+    """Whether `text`, a number printed to 12 significant digits, rounds a
+    value within `rel` relative of `value`."""
+    printed = float(text)
+    half_digit = 0.0 if printed == 0 else 0.5 * 10.0 ** (math.floor(math.log10(abs(printed))) - 11)
+    return abs(printed - value) <= rel * abs(value) + half_digit
+
+
+def test_cli_counterexample(tmp_path, capsys):
+    # the command runs the closed form; the enumeration oracle gives the same
+    # region counts on the default 50-point grid and every value to 2e-12
+    regions = {0.001: (600, 22), 0.01: (600, 36), 0.1: (575, 153), 0.5: (0, 1225)}
+    grid = [float(t) for t in np.linspace(0.0, 1.0, 52)[1:-1]]
+    cells = [(t1, t2) for t1 in grid for t2 in grid if t1 < t2]
+    for alpha, (region_a, region_b) in regions.items():
+        out = tmp_path / f"ce_{alpha}.csv"
+        assert main(["counterexample", "--grid", "50", "--alpha", str(alpha), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 1225 grid points to {out}; {region_a} with eff1<eff0, {region_b} with eta1>eta0\n"
+        )
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["theta1"], r["theta2"]) for r in rows] == [tuple(map(format_number, c)) for c in cells]
+        for row, (t1, t2) in zip(rows, cells):
+            en = counterexample_enumerate(t1, t2, alpha)
+            assert _prints(row["eff_diff"], en.eff1 - en.eff0, 2e-12), (alpha, row)
+            assert _prints(row["eta_ratio"], en.eta1 / en.eta0, 2e-12), (alpha, row)
 
 
 def test_cli_sir(tmp_path):

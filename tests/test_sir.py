@@ -6,8 +6,6 @@ from corrpool.sir import (
     SirState,
     consumption_reduction,
     critical_frequency,
-    growth_factor,
-    growth_factor_bound,
     simulate_sir,
     sir_step,
 )
@@ -42,23 +40,12 @@ def test_threshold_frequency_stalls_growth_at_full_susceptibility():
     assert nxt.i == pytest.approx(state.i, rel=1e-6)
 
 
-def test_growth_factor_and_bound():
-    state = SirState(1.0, 0.0, 0.0)
-    assert growth_factor(state, 0.15, 0.05, 0.0, 1.0) == growth_factor_bound(0.15, 0.05, 0.0, 1.0)
-    assert growth_factor_bound(0.15, 0.05, (0.15 - 0.05) / 0.8, 0.8) == pytest.approx(1.0)
-    # lambda(t) <= lambda' whenever s <= 1
-    for s in (0.2, 0.5, 0.99):
-        st = SirState(s, 0.01, 1.0 - s - 0.01)
-        assert growth_factor(st, 0.15, 0.05, 0.1, 0.8) <= growth_factor_bound(
-            0.15, 0.05, 0.1, 0.8
-        ) + 1e-15
-    with pytest.raises(ValueError):
-        growth_factor_bound(0.15, 0.0, 0.0, 1.0)
-
-
 def test_critical_frequency():
     assert critical_frequency(0.15, 0.05, 1.0) == pytest.approx(0.1)
     assert critical_frequency(0.8, 0.1, 0.8) == pytest.approx(0.875)
+    # f* makes lambda' = b_i / (b_r + f * sensitivity) equal to 1
+    b_i, b_r, sens = 0.15, 0.05, 0.8
+    assert b_i / (b_r + critical_frequency(b_i, b_r, sens) * sens) == pytest.approx(1.0)
     assert critical_frequency(0.05, 0.15, 0.9) == 0.0
     with pytest.raises(ValueError):
         critical_frequency(0.15, 0.05, 0.0)

@@ -15,11 +15,11 @@ from corrpool.theory import (
     _bootstrap_means,
     _sample_conditional,
     counterexample_closed_form,
-    counterexample_enumerate,
     delta_prime_quadrature,
     estimate_delta_prime,
 )
 from corrpool.viral import DEFAULT_GMM, sample_viral_load
+from oracles import counterexample_enumerate
 
 
 def test_closed_form_reference_point():
@@ -53,12 +53,12 @@ def test_perfect_test_limit():
 
 def test_counterexample_regions_exist():
     # a known point inside region A (correlated pooling less efficient)
-    res = counterexample_enumerate(0.05, 0.95, 0.01)
+    res = counterexample_closed_form(0.05, 0.95, 0.01)
     assert res.eff1 < res.eff0
     # region B (correlated pooling needs more follow-up tests per positive)
     grid = np.linspace(0.05, 0.95, 15)
     results = [
-        counterexample_enumerate(t1, t2, 0.01) for t1 in grid for t2 in grid if t1 < t2
+        counterexample_closed_form(t1, t2, 0.01) for t1 in grid for t2 in grid if t1 < t2
     ]
     assert any(r.eta1 > r.eta0 for r in results)
 

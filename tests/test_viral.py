@@ -1,4 +1,4 @@
-"""Tests for the viral-load mixture model and Ct conversion."""
+"""Tests for the viral-load mixture model."""
 
 import copy
 
@@ -11,7 +11,6 @@ from corrpool.viral import (
     GmmParams,
     category_stream,
     count_pmf,
-    ct_to_log10_viral_load,
     sample_log10_viral_load,
     sample_viral_load,
 )
@@ -21,23 +20,6 @@ MIXTURE_MEAN = 0.33 * 8.09 + 0.54 * 5.35 + 0.13 * 3.75  # 6.0462
 MIXTURE_VAR = (
     0.33 * (1.06**2 + 8.09**2) + 0.54 * (0.89**2 + 5.35**2) + 0.13 * (0.39**2 + 3.75**2)
 ) - MIXTURE_MEAN**2
-
-
-def test_ct_conversion_matches_fitted_component_means():
-    assert ct_to_log10_viral_load(20.13) == pytest.approx(8.09, abs=0.005)
-    assert ct_to_log10_viral_load(29.41) == pytest.approx(5.35, abs=0.005)
-    assert ct_to_log10_viral_load(34.81) == pytest.approx(3.75, abs=0.005)
-
-
-def test_ct_conversion_strictly_decreasing():
-    ct = np.linspace(0.0, 45.0, 200)
-    values = ct_to_log10_viral_load(ct)
-    assert np.all(np.diff(values) < 0)
-
-
-def test_ct_conversion_rejects_non_finite():
-    with pytest.raises(ValueError):
-        ct_to_log10_viral_load(np.inf)
 
 
 def test_gmm_validation():
